@@ -3,8 +3,8 @@
 1. The measured broadcast size gate (`stages/shuffle.attach_lookup` /
    `broadcast_or_bucketed`): forcing gate_bytes=1 routes every
    orders-sized side through `bucketed_join` instead of a ray.put dict,
-   and the five judge-named queries stay bit-exact against their DuckDB
-   oracles through that path (strategy invariance).
+   and the gated queries stay bit-exact against their DuckDB oracles
+   through that path (strategy invariance).
 2. Bucket-count invariance: the explicit shuffles are pure parallelism
    knobs — B=3 and B=17 produce identical frames.
 3. Hot-key salting: `salted_bucket_of` spreads a key holding 50% of the
@@ -41,6 +41,8 @@ def _oracle(name: str):
      "vbpl_web_crawl_ray.pipelines.relational5:q_nation_pair_trade"),
     ("nation_share_of_region",
      "vbpl_web_crawl_ray.pipelines.relational5:q_nation_share_of_region"),
+    ("q3_shipping_priority",
+     "vbpl_web_crawl_ray.pipelines.relational3:q_q3_shipping_priority"),
 ])
 def test_forced_bucketed_path_bit_exact(ray_session, name, fn_path):
     """gate_bytes=1 forces the bucketed_join fallback for every gated

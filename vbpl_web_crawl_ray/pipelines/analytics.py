@@ -36,7 +36,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..sources.tablecache import base_dataset, base_pandas
 
 EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -104,17 +104,13 @@ def q_brand_pair_counts(sf_dir: str) -> pd.DataFrame:
     part = base_pandas(sf_dir, "part", columns=["p_partkey", "p_brand"])
     ref = ray.put(dict(zip(part["p_partkey"], part["p_brand"])))
 
-    class ToBrand:
-        def __init__(self):
-            self.lookup = ray.get(ref)  # fetched once per actor
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return (pd.DataFrame({"okey": df["l_orderkey"].to_numpy(),
-                                  "brand": df["l_partkey"].map(self.lookup)})
-                    .drop_duplicates())
+    def to_brand(df: pd.DataFrame) -> pd.DataFrame:
+        return (pd.DataFrame({"okey": df["l_orderkey"].to_numpy(),
+                              "brand": df["l_partkey"].map(broadcast_get(ref))})
+                .drop_duplicates())
 
     li = (_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-          .map_batches(ToBrand, batch_format="pandas", concurrency=(1, 4)))
+          .map_batches(to_brand, batch_format="pandas"))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = (g.drop_duplicates(["okey", "brand"])
@@ -500,17 +496,13 @@ def q_brand_pair_lift(sf_dir: str) -> pd.DataFrame:
     part = base_pandas(sf_dir, "part", columns=["p_partkey", "p_brand"])
     ref = ray.put(dict(zip(part["p_partkey"], part["p_brand"])))
 
-    class ToBrand:
-        def __init__(self):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return (pd.DataFrame({"okey": df["l_orderkey"].to_numpy(),
-                                  "brand": df["l_partkey"].map(self.lookup)})
-                    .drop_duplicates())
+    def to_brand(df: pd.DataFrame) -> pd.DataFrame:
+        return (pd.DataFrame({"okey": df["l_orderkey"].to_numpy(),
+                              "brand": df["l_partkey"].map(broadcast_get(ref))})
+                .drop_duplicates())
 
     li = (_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-          .map_batches(ToBrand, batch_format="pandas", concurrency=(1, 4)))
+          .map_batches(to_brand, batch_format="pandas"))
 
     def stats(g: pd.DataFrame) -> pd.DataFrame:
         d = (g.drop_duplicates(["okey", "brand"])
@@ -599,28 +591,24 @@ def q_knn_label_agreement(sf_dir: str) -> pd.DataFrame:
     m = m / np.linalg.norm(m, axis=1, keepdims=True)
     ids = all_df["vec_id"].to_numpy(np.int64)
     labels = all_df["label"].to_numpy(np.int64)
-    mref = _ray.put((m, ids, labels))
+    pos = {int(v): i for i, v in enumerate(ids)}
+    mref = _ray.put((m, labels, pos))
 
-    class NN:
-        def __init__(self):
-            self.m, self.ids, self.labels = _ray.get(mref)
-            self.pos = {int(v): i for i, v in enumerate(self.ids)}
+    def nn_agree(df: pd.DataFrame) -> pd.DataFrame:
+        m, labels, pos = broadcast_get(mref)
+        q = np.stack(df["embedding"].to_numpy()).astype(np.float64)
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        sims = q @ m.T
+        rows = np.array([pos[int(v)] for v in df["vec_id"]])
+        sims[np.arange(len(q)), rows] = -np.inf   # exclude self
+        nn = sims.argmax(axis=1)
+        agree = (labels[nn]
+                 == df["label"].to_numpy(np.int64)).astype(np.int64)
+        return (pd.DataFrame({"label": df["label"].to_numpy(np.int64),
+                              "n_vecs": np.int64(1), "n_agree": agree})
+                .groupby("label", as_index=False).sum())
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            q = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-            q = q / np.linalg.norm(q, axis=1, keepdims=True)
-            sims = q @ self.m.T
-            rows = np.array([self.pos[int(v)] for v in df["vec_id"]])
-            sims[np.arange(len(q)), rows] = -np.inf   # exclude self
-            nn = sims.argmax(axis=1)
-            agree = (self.labels[nn]
-                     == df["label"].to_numpy(np.int64)).astype(np.int64)
-            return (pd.DataFrame({"label": df["label"].to_numpy(np.int64),
-                                  "n_vecs": np.int64(1), "n_agree": agree})
-                    .groupby("label", as_index=False).sum())
-
-    out = (emb.map_batches(NN, batch_format="pandas",
-                           concurrency=(1, 4)).to_pandas()
+    out = (emb.map_batches(nn_agree, batch_format="pandas").to_pandas()
            .groupby("label", as_index=False).sum())
     out = out.astype({"label": "int64", "n_vecs": "int64",
                       "n_agree": "int64"})

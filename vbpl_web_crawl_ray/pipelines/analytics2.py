@@ -33,7 +33,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..sources.tablecache import base_dataset, base_pandas
 
 _DAY_US = 86_400 * 1_000_000
@@ -827,26 +827,21 @@ def q_outlier_counts(sf_dir: str) -> pd.DataFrame:
     mref = ray.put({r.event_type: (int(r.n), int(r.s), int(r.ss))
                     for r in m.itertuples()})
 
-    class Gate:
-        def __init__(self):
-            self.m = ray.get(mref)
+    def gate(df: pd.DataFrame) -> pd.DataFrame:
+        c = np.round(df["value"].to_numpy() * 100.0).astype(np.int64)
+        t = df["event_type"].to_numpy()
+        out = []
+        for name, (n, s, ss) in broadcast_get(mref).items():
+            sub = c[t == name]
+            lhs = (n * sub - s).astype(np.float64)
+            rhs = 9.0 * (np.float64(n) * np.float64(ss)
+                         - np.float64(s) * np.float64(s))
+            out.append(pd.DataFrame({
+                "event_type": [name],
+                "n_outliers": [np.int64(int((lhs * lhs > rhs).sum()))]}))
+        return pd.concat(out, ignore_index=True)
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            c = np.round(df["value"].to_numpy() * 100.0).astype(np.int64)
-            t = df["event_type"].to_numpy()
-            out = []
-            for name, (n, s, ss) in self.m.items():
-                sub = c[t == name]
-                lhs = (n * sub - s).astype(np.float64)
-                rhs = 9.0 * (np.float64(n) * np.float64(ss)
-                             - np.float64(s) * np.float64(s))
-                out.append(pd.DataFrame({
-                    "event_type": [name],
-                    "n_outliers": [np.int64(int((lhs * lhs > rhs).sum()))]}))
-            return pd.concat(out, ignore_index=True)
-
-    parts = ev.map_batches(Gate, batch_format="pandas",
-                           concurrency=(1, 4)).to_pandas()
+    parts = ev.map_batches(gate, batch_format="pandas").to_pandas()
     out = parts.groupby("event_type", as_index=False)["n_outliers"].sum()
     return (out.astype({"n_outliers": "int64"})
                .sort_values("event_type").reset_index(drop=True))
@@ -867,25 +862,20 @@ def q_centroid_assignment(sf_dir: str) -> pd.DataFrame:
     c = (cent.sort_values(["label", "dim"])  # (k, 64) row-major
              ["mean_v"].to_numpy(np.float64).reshape(k, -1))
     labels_sorted = np.sort(cent["label"].unique())
-    cref = ray.put((c, labels_sorted))
+    cref = ray.put((c, 0.5 * (c * c).sum(axis=1), labels_sorted))
 
-    class Assign:
-        def __init__(self):
-            self.c, self.labels = ray.get(cref)
-            self.half_c2 = 0.5 * (self.c * self.c).sum(axis=1)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            x = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-            score = x @ self.c.T - self.half_c2    # argmax == nearest
-            a = self.labels[np.argmax(score, axis=1)]
-            return (pd.DataFrame({"label": df["label"].to_numpy(),
-                                  "assigned": a})
-                    .groupby(["label", "assigned"], as_index=False)
-                    .size().rename(columns={"size": "n"}))
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        cm, half_c2, labels = broadcast_get(cref)
+        x = np.stack(df["embedding"].to_numpy()).astype(np.float64)
+        score = x @ cm.T - half_c2    # argmax == nearest
+        a = labels[np.argmax(score, axis=1)]
+        return (pd.DataFrame({"label": df["label"].to_numpy(),
+                              "assigned": a})
+                .groupby(["label", "assigned"], as_index=False)
+                .size().rename(columns={"size": "n"}))
 
     parts = (_read(sf_dir, "embeddings", ["label", "embedding"])
-             .map_batches(Assign, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas())
+             .map_batches(assign, batch_format="pandas").to_pandas())
     out = parts.groupby(["label", "assigned"], as_index=False)["n"].sum()
     return (out.astype({"label": "int64", "assigned": "int64",
                         "n": "int64"})

@@ -15,6 +15,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
+from ..stages.shuffle import broadcast_get
 from ..stages.textstats import EN_STOPWORDS
 from ..sources.tablecache import base_dataset, base_pandas
 
@@ -376,25 +377,20 @@ def q_bigram_lm_scores(sf_dir: str) -> pd.DataFrame:
     model = parts.groupby("bigram")["n"].sum()
     ref = ray.put(model.to_dict())
 
-    class Score:
-        def __init__(self):
-            self.model = ray.get(ref)          # fetched once per actor
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            p = _pairs(df)
-            if p is None:
-                return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                     "n_bigrams": pd.Series(dtype=np.int64),
-                                     "familiarity": pd.Series(dtype=np.int64)})
-            docs, big = p
-            cnt = big.map(self.model).to_numpy(np.int64)
-            return (pd.DataFrame({"doc_id": docs, "c": cnt})
-                    .groupby("doc_id", as_index=False)
-                    .agg(n_bigrams=("c", "size"), familiarity=("c", "sum")))
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        p = _pairs(df)
+        if p is None:
+            return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
+                                 "n_bigrams": pd.Series(dtype=np.int64),
+                                 "familiarity": pd.Series(dtype=np.int64)})
+        docs, big = p
+        cnt = big.map(broadcast_get(ref)).to_numpy(np.int64)
+        return (pd.DataFrame({"doc_id": docs, "c": cnt})
+                .groupby("doc_id", as_index=False)
+                .agg(n_bigrams=("c", "size"), familiarity=("c", "sum")))
 
     out = (_docs(sf_dir, ("doc_id", "text"))
-           .map_batches(Score, batch_format="pandas", concurrency=(1, 4))
-           .to_pandas())
+           .map_batches(score, batch_format="pandas").to_pandas())
     return (out.astype({"n_bigrams": "int64", "familiarity": "int64"})
                .sort_values("doc_id").reset_index(drop=True))
 
@@ -479,35 +475,31 @@ def q_lm_logprob_scores(sf_dir: str) -> pd.DataFrame:
     marginal = model.groupby(first.to_numpy()).sum()   # c(a, ·)
     mref = ray.put((model.to_dict(), marginal.to_dict()))
 
-    class Score:
-        def __init__(self):
-            self.model, self.marginal = ray.get(mref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            p = _pairs(df)
-            if p is None:
-                return pd.DataFrame({
-                    "doc_id": pd.Series(dtype=np.int64),
-                    "n_bigrams": pd.Series(dtype=np.int64),
-                    "avg_logprob": pd.Series(dtype=np.float64)})
-            docs, big = p
-            c = big.map(self.model).to_numpy(np.float64)
-            mc = (big.str.split(" ").str[0].map(self.marginal)
-                  .to_numpy(np.float64))
-            lp = np.fromiter((math.log(v) for v in c / mc),
-                             dtype=np.float64, count=len(c))
-            g = (pd.DataFrame({"doc_id": docs, "lp": lp})
-                 .groupby("doc_id", as_index=False)
-                 .agg(n_bigrams=("lp", "size"), s=("lp", "sum")))
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        p = _pairs(df)
+        if p is None:
             return pd.DataFrame({
-                "doc_id": g["doc_id"],
-                "n_bigrams": g["n_bigrams"].astype(np.int64),
-                "avg_logprob": round_half_away(
-                    (g["s"] / g["n_bigrams"]).to_numpy(), 4)})
+                "doc_id": pd.Series(dtype=np.int64),
+                "n_bigrams": pd.Series(dtype=np.int64),
+                "avg_logprob": pd.Series(dtype=np.float64)})
+        model, marginal = broadcast_get(mref)
+        docs, big = p
+        c = big.map(model).to_numpy(np.float64)
+        mc = (big.str.split(" ").str[0].map(marginal)
+              .to_numpy(np.float64))
+        lp = np.fromiter((math.log(v) for v in c / mc),
+                         dtype=np.float64, count=len(c))
+        g = (pd.DataFrame({"doc_id": docs, "lp": lp})
+             .groupby("doc_id", as_index=False)
+             .agg(n_bigrams=("lp", "size"), s=("lp", "sum")))
+        return pd.DataFrame({
+            "doc_id": g["doc_id"],
+            "n_bigrams": g["n_bigrams"].astype(np.int64),
+            "avg_logprob": round_half_away(
+                (g["s"] / g["n_bigrams"]).to_numpy(), 4)})
 
     out = (_docs(sf_dir, ("doc_id", "text"))
-           .map_batches(Score, batch_format="pandas", concurrency=(1, 4))
-           .to_pandas())
+           .map_batches(score, batch_format="pandas").to_pandas())
     return (out.astype({"n_bigrams": "int64"})
                .sort_values("doc_id").reset_index(drop=True))
 
@@ -715,28 +707,23 @@ def q_doc_novelty(sf_dir: str) -> pd.DataFrame:
                  .groupby("bigram")["n"].sum())
     ref = ray.put(model.to_dict())
 
-    class Novelty:
-        def __init__(self):
-            self.g = ray.get(ref)
+    def novelty(df: pd.DataFrame) -> pd.DataFrame:
+        t = _doc_types(df)
+        if t is None:
+            return pd.DataFrame({
+                "doc_id": pd.Series(dtype=np.int64),
+                "n_types": pd.Series(dtype=np.int64),
+                "n_unique": pd.Series(dtype=np.int64),
+                "novelty": pd.Series(dtype=np.float64)})
+        own = t["n"].to_numpy(np.int64)
+        glob = t["bigram"].map(broadcast_get(ref)).to_numpy(np.int64)
+        t = t.assign(u=(own == glob).astype(np.int64))
+        a = t.groupby("doc_id", as_index=False).agg(
+            n_types=("u", "size"), n_unique=("u", "sum"))
+        return a.assign(novelty=a["n_unique"].to_numpy(np.float64)
+                        / a["n_types"].to_numpy(np.float64))
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            t = _doc_types(df)
-            if t is None:
-                return pd.DataFrame({
-                    "doc_id": pd.Series(dtype=np.int64),
-                    "n_types": pd.Series(dtype=np.int64),
-                    "n_unique": pd.Series(dtype=np.int64),
-                    "novelty": pd.Series(dtype=np.float64)})
-            own = t["n"].to_numpy(np.int64)
-            glob = t["bigram"].map(self.g).to_numpy(np.int64)
-            t = t.assign(u=(own == glob).astype(np.int64))
-            a = t.groupby("doc_id", as_index=False).agg(
-                n_types=("u", "size"), n_unique=("u", "sum"))
-            return a.assign(novelty=a["n_unique"].to_numpy(np.float64)
-                            / a["n_types"].to_numpy(np.float64))
-
-    out = (docs.map_batches(Novelty, batch_format="pandas",
-                            concurrency=(1, 4)).to_pandas())
+    out = docs.map_batches(novelty, batch_format="pandas").to_pandas()
     return (out.astype({"n_types": "int64", "n_unique": "int64"})
                .sort_values("doc_id").reset_index(drop=True))
 

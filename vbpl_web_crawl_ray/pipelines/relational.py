@@ -20,7 +20,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..sources.tablecache import base_dataset, base_pandas
 
 _NUM_BUCKETS = None  # resolved per-call from the cluster (shuffle.resolve_num_buckets)
@@ -242,16 +242,12 @@ def q_broadcast_dim_join(sf_dir: str):
 
     cust = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
 
-    class BroadcastJoin:
-        def __init__(self):
-            self.lookup = ray.get(ref)  # fetched once per actor
+    def broadcast_join(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.assign(r_name=df["c_nationkey"].map(broadcast_get(ref)))
+        return df.groupby("r_name", as_index=False).agg(
+            n_customers=("c_acctbal", "size"), total_acctbal=("c_acctbal", "sum"))
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = df.assign(r_name=df["c_nationkey"].map(self.lookup))
-            return df.groupby("r_name", as_index=False).agg(
-                n_customers=("c_acctbal", "size"), total_acctbal=("c_acctbal", "sum"))
-
-    out = (cust.map_batches(BroadcastJoin, batch_format="pandas", concurrency=(1, 2))
+    out = (cust.map_batches(broadcast_join, batch_format="pandas")
                .groupby("r_name")
                .aggregate(Sum("n_customers", alias_name="n_customers"),
                           Sum("total_acctbal", alias_name="total_acctbal"))

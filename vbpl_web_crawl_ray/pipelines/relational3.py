@@ -10,11 +10,11 @@ with a DuckDB oracle twin and a stated 100-TB shape.
   one int64 prefix-sum — values aggregate as exact integer cents so the
   windowed sums are order-free and bit-exact;
 - q_q3_shipping_priority: TPC-H Q3's shape (selective dim filter ->
-  broadcast semi-join -> fact filter -> partial aggregate -> global
-  top-k): the segment's customers and their qualifying orders ride to
-  the lineitem scan as one ray.put lookup (size-gated by the filter's
-  selectivity; past the gate each hop becomes a bucketed join), so the
-  big fact table is touched exactly once with no all-to-all at all."""
+  semi-join -> fact filter -> partial aggregate -> global top-k): the
+  segment's customers and their qualifying orders reach the lineitem
+  scan through two ``attach_lookup`` hops (a ray.put lookup under the
+  measured size gate, a bucketed join past it), so the big fact table
+  is touched exactly once and, under the gate, with no all-to-all."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..sources.tablecache import base_dataset, base_pandas
 
 
@@ -88,72 +88,68 @@ def q_range_frame_sum(sf_dir: str, radius: float = 5000.0) -> pd.DataFrame:
 
 
 def q_q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
-                           cutoff: str = "1995-03-15",
-                           limit: int = 10) -> pd.DataFrame:
+                           cutoff: str = "1995-03-15", limit: int = 10,
+                           gate_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q3's shape — the classic 3-table analytics join: revenue of
     the top unshipped orders for one market segment. The selective dim
-    side collapses BEFORE touching the fact table: the segment's
-    customers filter orders in one pruned scan, the qualifying
-    (orderkey -> orderdate) map broadcasts via ray.put (size-gated by
-    the two filters' selectivity — past the gate each hop becomes a
-    bucketed join on the same keys), and lineitem is then touched
-    exactly ONCE, emitting per-order revenue partials. No all-to-all
-    anywhere; the driver merges per-order partials and takes the global
+    side collapses BEFORE touching the fact table, and both hops attach
+    through ``attach_lookup``'s measured size gate: the segment's
+    custkeys attach onto one orders scan, the qualifying (orderkey ->
+    orderdate) rows attach onto ONE lineitem scan, and that scan emits
+    per-order revenue partials. Under the gate each hop is one ray.put
+    dict and there is no all-to-all; past it (orders and customer are
+    fact-proportional) each hop becomes a bucketed join on the same
+    keys. The driver merges per-order partials and takes the global
     top-k. Revenue rounds to 4 decimals in both engines before the
     ordering, making the compare and the cutoff deterministic."""
+    from ..stages.shuffle import attach_lookup
+
     cut = np.datetime64(cutoff, "us")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def seg_keys(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"k": df.loc[df["c_mktsegment"] == segment, "c_custkey"]})
+        k = df.loc[df["c_mktsegment"] == segment, "c_custkey"].to_numpy()
+        return pd.DataFrame({"c_custkey": k,
+                             "in_seg": np.ones(len(k), np.int64)})
 
-    ckeys = set(cust.map_batches(seg_keys, batch_format="pandas")
-                    .to_pandas()["k"])
-    cref = ray.put(ckeys)
+    raw_orders = _read(sf_dir, "orders",
+                       ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = attach_lookup(raw_orders, "o_custkey",
+                           cust.map_batches(seg_keys, batch_format="pandas"),
+                           "c_custkey", ["in_seg"], gate_bytes=gate_bytes,
+                           probe=cust)
 
-    class OrderSide:
-        def __init__(self):
-            self.keys = ray.get(cref)
+    def order_side(df: pd.DataFrame) -> pd.DataFrame:
+        m = (df["o_orderdate"].to_numpy() < cut) \
+            & df["in_seg"].notna().to_numpy()
+        return df.loc[m, ["o_orderkey", "o_orderdate"]]
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = (df["o_orderdate"].to_numpy() < cut) \
-                & df["o_custkey"].isin(self.keys).to_numpy()
-            return df.loc[m, ["o_orderkey", "o_orderdate"]]
+    li = _read(sf_dir, "lineitem",
+               ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
+    dated = attach_lookup(li, "l_orderkey",
+                          orders.map_batches(order_side, batch_format="pandas"),
+                          "o_orderkey", ["o_orderdate"],
+                          gate_bytes=gate_bytes, probe=raw_orders)
 
-    omap = (_read(sf_dir, "orders",
-                  ["o_orderkey", "o_custkey", "o_orderdate"])
-            .map_batches(OrderSide, batch_format="pandas",
-                         concurrency=(1, 4)).to_pandas())
-    oref = ray.put(dict(zip(omap["o_orderkey"],
-                            omap["o_orderdate"].astype("datetime64[us]"))))
+    def revenue(df: pd.DataFrame) -> pd.DataFrame:
+        m = (df["l_shipdate"].to_numpy() > cut) \
+            & df["o_orderdate"].notna().to_numpy()
+        d = df.loc[m]
+        rev = (d["l_extendedprice"].to_numpy()
+               * (1.0 - d["l_discount"].to_numpy()))
+        return (pd.DataFrame({"l_orderkey": d["l_orderkey"].to_numpy(),
+                              "o_orderdate": d["o_orderdate"].to_numpy(),
+                              "rev": rev})
+                .groupby(["l_orderkey", "o_orderdate"], as_index=False)
+                ["rev"].sum())
 
-    class Revenue:
-        def __init__(self):
-            self.dates = ray.get(oref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = (df["l_shipdate"].to_numpy() > cut) \
-                & df["l_orderkey"].isin(self.dates).to_numpy()
-            d = df.loc[m]
-            rev = (d["l_extendedprice"].to_numpy()
-                   * (1.0 - d["l_discount"].to_numpy()))
-            return (pd.DataFrame({"l_orderkey": d["l_orderkey"].to_numpy(),
-                                  "rev": rev})
-                    .groupby("l_orderkey", as_index=False)["rev"].sum())
-
-    parts = (_read(sf_dir, "lineitem",
-                   ["l_orderkey", "l_extendedprice", "l_discount",
-                    "l_shipdate"])
-             .map_batches(Revenue, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas())
-    agg = parts.groupby("l_orderkey", as_index=False)["rev"].sum()
-    dates = dict(zip(omap["o_orderkey"],
-                     omap["o_orderdate"].astype("datetime64[us]")))
+    agg = (dated.map_batches(revenue, batch_format="pandas").to_pandas()
+           .groupby(["l_orderkey", "o_orderdate"], as_index=False)["rev"]
+           .sum())
     out = pd.DataFrame({
         "l_orderkey": agg["l_orderkey"].astype("int64"),
         "revenue": round_half_away(agg["rev"].to_numpy(), 4),
-        "o_orderdate": agg["l_orderkey"].map(dates)})
+        "o_orderdate": agg["o_orderdate"].astype("datetime64[us]")})
     return (out.sort_values(["revenue", "o_orderdate", "l_orderkey"],
                             ascending=[False, True, True])
                .head(limit).reset_index(drop=True))
@@ -379,35 +375,25 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
     nref = ray.put(nmap)
 
-    class CustNation:
-        def __init__(self):
-            self.n = ray.get(nref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "c_custkey": df["c_custkey"].to_numpy(),
-                "nation": df["c_nationkey"].map(self.n).to_numpy()})
+    def cust_nation(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "c_custkey": df["c_custkey"].to_numpy(),
+            "nation": df["c_nationkey"].map(broadcast_get(nref)).to_numpy()})
 
     cust = (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-            .map_batches(CustNation, batch_format="pandas",
-                         concurrency=(1, 4)).to_pandas())
+            .map_batches(cust_nation, batch_format="pandas").to_pandas())
     cref = ray.put(dict(zip(cust["c_custkey"], cust["nation"])))
 
-    class Rollup:
-        def __init__(self):
-            self.c = ray.get(cref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            return (pd.DataFrame({
-                "nation": df["o_custkey"].map(self.c).to_numpy(),
-                "cents": cents, "n": np.int64(1)})
-                .groupby("nation", as_index=False).sum())
+    def rollup(df: pd.DataFrame) -> pd.DataFrame:
+        cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        return (pd.DataFrame({
+            "nation": df["o_custkey"].map(broadcast_get(cref)).to_numpy(),
+            "cents": cents, "n": np.int64(1)})
+            .groupby("nation", as_index=False).sum())
 
     parts = (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-             .map_batches(Rollup, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas())
+             .map_batches(rollup, batch_format="pandas").to_pandas())
     out = parts.groupby("nation", as_index=False).sum()
     return (pd.DataFrame({"nation": out["nation"],
                           "revenue_cents": out["cents"].astype("int64"),
@@ -477,23 +463,18 @@ def q_supplier_balance_by_region(sf_dir: str) -> pd.DataFrame:
                                       nation["n_regionkey"])}
     ref = ray.put(n2r)
 
-    class Partial:
-        def __init__(self):
-            self.n2r = ray.get(ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            cents = np.round(df["s_acctbal"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            return (pd.DataFrame({
-                "region": df["s_nationkey"].map(self.n2r).to_numpy(),
-                "cents": cents, "n": np.int64(1), "mx": cents})
-                .groupby("region", as_index=False)
-                .agg(cents=("cents", "sum"), n=("n", "sum"),
-                     mx=("mx", "max")))
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        cents = np.round(df["s_acctbal"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        return (pd.DataFrame({
+            "region": df["s_nationkey"].map(broadcast_get(ref)).to_numpy(),
+            "cents": cents, "n": np.int64(1), "mx": cents})
+            .groupby("region", as_index=False)
+            .agg(cents=("cents", "sum"), n=("n", "sum"),
+                 mx=("mx", "max")))
 
     parts = (_read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-             .map_batches(Partial, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas())
+             .map_batches(partial, batch_format="pandas").to_pandas())
     out = parts.groupby("region", as_index=False).agg(
         total_cents=("cents", "sum"), n_suppliers=("n", "sum"),
         max_cents=("mx", "max"))

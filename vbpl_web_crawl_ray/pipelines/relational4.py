@@ -27,6 +27,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
+from ..stages.shuffle import broadcast_get
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -108,28 +109,23 @@ def q_promo_revenue_share(sf_dir: str) -> pd.DataFrame:
     promo = ray.put(
         set(part.loc[part["p_type"] == "PROMO", "p_partkey"].tolist()))
 
-    class Partial:
-        def __init__(self):
-            self.promo = ray.get(promo)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            ep = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            d = np.round(df["l_discount"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            u4 = ep * (100 - d)
-            is_promo = df["l_partkey"].isin(self.promo).to_numpy()
-            month = df["l_shipdate"].dt.to_period("M").dt.to_timestamp()
-            return (pd.DataFrame({"month": month,
-                                  "promo_u4": np.where(is_promo, u4, 0),
-                                  "total_u4": u4})
-                    .groupby("month", as_index=False).sum())
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        ep = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        d = np.round(df["l_discount"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        u4 = ep * (100 - d)
+        is_promo = df["l_partkey"].isin(broadcast_get(promo)).to_numpy()
+        month = df["l_shipdate"].dt.to_period("M").dt.to_timestamp()
+        return (pd.DataFrame({"month": month,
+                              "promo_u4": np.where(is_promo, u4, 0),
+                              "total_u4": u4})
+                .groupby("month", as_index=False).sum())
 
     parts = (_read(sf_dir, "lineitem",
                    ["l_partkey", "l_shipdate",
                     "l_extendedprice", "l_discount"])
-             .map_batches(Partial, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas())
+             .map_batches(partial, batch_format="pandas").to_pandas())
     out = parts.groupby("month", as_index=False).sum()
     share = round_half_away(
         (100.0 * out["promo_u4"].to_numpy(np.float64))
@@ -177,22 +173,17 @@ def q_idle_balance_by_nation(sf_dir: str) -> pd.DataFrame:
                      .to_pandas()["k"])
     href = ray.put(has_urgent)
 
-    class Idle:
-        def __init__(self):
-            self.has = ray.get(href)
+    def idle(df: pd.DataFrame) -> pd.DataFrame:
+        cents = np.round(df["c_acctbal"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        keep = (cents * n_pos > sum_pos) \
+            & ~df["c_custkey"].isin(broadcast_get(href)).to_numpy()
+        d = df[keep]
+        return (pd.DataFrame({"c_nationkey": d["c_nationkey"].to_numpy(),
+                              "cents": cents[keep], "n": np.int64(1)})
+                .groupby("c_nationkey", as_index=False).sum())
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            cents = np.round(df["c_acctbal"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            keep = (cents * n_pos > sum_pos) \
-                & ~df["c_custkey"].isin(self.has).to_numpy()
-            d = df[keep]
-            return (pd.DataFrame({"c_nationkey": d["c_nationkey"].to_numpy(),
-                                  "cents": cents[keep], "n": np.int64(1)})
-                    .groupby("c_nationkey", as_index=False).sum())
-
-    parts = cust.map_batches(Idle, batch_format="pandas",
-                             concurrency=(1, 4)).to_pandas()
+    parts = cust.map_batches(idle, batch_format="pandas").to_pandas()
     if parts.empty:  # fully-filtered store: keep the schema stable
         parts = pd.DataFrame({"c_nationkey": pd.Series([], dtype="int64"),
                               "cents": pd.Series([], dtype="int64"),

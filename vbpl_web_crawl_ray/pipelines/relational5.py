@@ -31,6 +31,7 @@ import ray
 import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
+from ..stages.shuffle import broadcast_get
 
 _US_PER_DAY = 86_400_000_000
 
@@ -271,21 +272,16 @@ def q_topk_types_with_other(sf_dir: str, k: int = 3) -> pd.DataFrame:
               .head(k)["event_type"])
     topref = ray.put(top)
 
-    class Relabel:
-        def __init__(self):
-            self.top = ray.get(topref)
+    def relabel(df: pd.DataFrame) -> pd.DataFrame:
+        month = df["ts"].dt.strftime("%Y-%m")
+        label = df["event_type"].where(
+            df["event_type"].isin(broadcast_get(topref)), "OTHER")
+        return (pd.DataFrame({"month": month, "event_type": label,
+                              "n_events": np.int64(1)})
+                .groupby(["month", "event_type"], as_index=False)
+                .sum())
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            month = df["ts"].dt.strftime("%Y-%m")
-            label = df["event_type"].where(
-                df["event_type"].isin(self.top), "OTHER")
-            return (pd.DataFrame({"month": month, "event_type": label,
-                                  "n_events": np.int64(1)})
-                    .groupby(["month", "event_type"], as_index=False)
-                    .sum())
-
-    out = (ev.map_batches(Relabel, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas()
+    out = (ev.map_batches(relabel, batch_format="pandas").to_pandas()
            .groupby(["month", "event_type"], as_index=False).sum())
     return (out.astype({"n_events": "int64"})
                .sort_values(["month", "event_type"]).reset_index(drop=True))
@@ -366,26 +362,21 @@ def q_nation_pair_trade(sf_dir: str,
                ["l_orderkey", "l_suppkey", "l_extendedprice",
                 "l_discount", "l_shipdate"])
 
-    class Partial:
-        def __init__(self):
-            self.s2n = ray.get(sref)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        d = np.round(df["l_discount"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        return (pd.DataFrame({
+            "l_orderkey": df["l_orderkey"].to_numpy(),
+            "supp_nation": df["l_suppkey"].map(broadcast_get(sref)).to_numpy(),
+            "ship_year": df["l_shipdate"].dt.year.to_numpy(np.int64),
+            "n_items": np.int64(1),
+            "rev_u4": cents * (100 - d)})
+            .groupby(["l_orderkey", "supp_nation", "ship_year"],
+                     as_index=False).sum())
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            d = np.round(df["l_discount"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            return (pd.DataFrame({
-                "l_orderkey": df["l_orderkey"].to_numpy(),
-                "supp_nation": df["l_suppkey"].map(self.s2n).to_numpy(),
-                "ship_year": df["l_shipdate"].dt.year.to_numpy(np.int64),
-                "n_items": np.int64(1),
-                "rev_u4": cents * (100 - d)})
-                .groupby(["l_orderkey", "supp_nation", "ship_year"],
-                         as_index=False).sum())
-
-    parts = li.map_batches(Partial, batch_format="pandas",
-                           concurrency=(1, 4))
+    parts = li.map_batches(partial, batch_format="pandas")
     side, probe = _orders_cust_nation_side(sf_dir, gate_bytes)
     withn = attach_lookup(parts, "l_orderkey", side, "o_orderkey",
                           ["c_nationkey"], gate_bytes=gate_bytes,
@@ -597,31 +588,25 @@ def q_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
-    class Partial:
-        def __init__(self):
-            self.ptype = ray.get(tref)
-            self.psize = ray.get(sref)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        qty = np.round(df["l_quantity"].to_numpy()).astype(np.int64)
+        cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        d = np.round(df["l_discount"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        u4 = cents * (100 - d)
+        ptype = df["l_partkey"].map(broadcast_get(tref)).to_numpy()
+        psize = df["l_partkey"].map(broadcast_get(sref)).to_numpy(np.int64)
+        rows = []
+        for name, typ, qlo, qhi, slo, shi in _Q19_BRANCHES:
+            m = ((ptype == typ) & (qty >= qlo) & (qty <= qhi)
+                 & (psize >= slo) & (psize <= shi))
+            rows.append({"branch": name,
+                         "n_items": np.int64(int(m.sum())),
+                         "rev_u4": np.int64(int(u4[m].sum()))})
+        return pd.DataFrame(rows)
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            qty = np.round(df["l_quantity"].to_numpy()).astype(np.int64)
-            cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            d = np.round(df["l_discount"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            u4 = cents * (100 - d)
-            ptype = df["l_partkey"].map(self.ptype).to_numpy()
-            psize = df["l_partkey"].map(self.psize).to_numpy(np.int64)
-            rows = []
-            for name, typ, qlo, qhi, slo, shi in _Q19_BRANCHES:
-                m = ((ptype == typ) & (qty >= qlo) & (qty <= qhi)
-                     & (psize >= slo) & (psize <= shi))
-                rows.append({"branch": name,
-                             "n_items": np.int64(int(m.sum())),
-                             "rev_u4": np.int64(int(u4[m].sum()))})
-            return pd.DataFrame(rows)
-
-    out = (li.map_batches(Partial, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas()
+    out = (li.map_batches(partial, batch_format="pandas").to_pandas()
            .groupby("branch", as_index=False).sum())
     out = out.astype({"n_items": "int64", "rev_u4": "int64"})
     out["revenue"] = out["rev_u4"].to_numpy(np.float64) / 1e4
@@ -824,23 +809,17 @@ def q_small_order_revenue(sf_dir: str) -> pd.DataFrame:
     nref = ray.put(dict(zip(parts["p"], parts["n"])))
     sref = ray.put(dict(zip(parts["p"], parts["s"])))
 
-    class Gate:
-        def __init__(self):
-            self.n = ray.get(nref)
-            self.s = ray.get(sref)
+    def gate(df: pd.DataFrame) -> pd.DataFrame:
+        qty = np.round(df["l_quantity"].to_numpy()).astype(np.int64)
+        nn = df["l_partkey"].map(broadcast_get(nref)).to_numpy(np.int64)
+        ss = df["l_partkey"].map(broadcast_get(sref)).to_numpy(np.int64)
+        m = 5 * qty * nn < ss
+        cents = np.round(df["l_extendedprice"].to_numpy()[m] * 100.0) \
+            .astype(np.int64)
+        return pd.DataFrame({"n_items": [np.int64(int(m.sum()))],
+                             "cents": [np.int64(int(cents.sum()))]})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            qty = np.round(df["l_quantity"].to_numpy()).astype(np.int64)
-            nn = df["l_partkey"].map(self.n).to_numpy(np.int64)
-            ss = df["l_partkey"].map(self.s).to_numpy(np.int64)
-            m = 5 * qty * nn < ss
-            cents = np.round(df["l_extendedprice"].to_numpy()[m] * 100.0) \
-                .astype(np.int64)
-            return pd.DataFrame({"n_items": [np.int64(int(m.sum()))],
-                                 "cents": [np.int64(int(cents.sum()))]})
-
-    out = (li.map_batches(Gate, batch_format="pandas",
-                          concurrency=(1, 4)).to_pandas().sum())
+    out = (li.map_batches(gate, batch_format="pandas").to_pandas().sum())
     return pd.DataFrame({
         "n_items": [np.int64(out["n_items"])],
         "small_revenue": [np.float64(np.int64(out["cents"])) / 100.0]})
@@ -1034,25 +1013,21 @@ def q_local_supplier_volume(sf_dir: str, region: str = "ASIA",
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
 
-    class Partial:
-        def __init__(self):
-            self.s2n, self.region_nations = ray.get(sref)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        s2n, region_nations = broadcast_get(sref)
+        snat = df["l_suppkey"].map(s2n).to_numpy(np.int64)
+        keep = np.isin(snat, list(region_nations))
+        df, snat = df[keep], snat[keep]
+        cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
+            .astype(np.int64)
+        d = np.round(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
+        return (pd.DataFrame({"l_orderkey": df["l_orderkey"].to_numpy(),
+                              "supp_nation": snat,
+                              "rev_u4": cents * (100 - d)})
+                .groupby(["l_orderkey", "supp_nation"],
+                         as_index=False).sum())
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            snat = df["l_suppkey"].map(self.s2n).to_numpy(np.int64)
-            keep = np.isin(snat, list(self.region_nations))
-            df, snat = df[keep], snat[keep]
-            cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
-                .astype(np.int64)
-            d = np.round(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
-            return (pd.DataFrame({"l_orderkey": df["l_orderkey"].to_numpy(),
-                                  "supp_nation": snat,
-                                  "rev_u4": cents * (100 - d)})
-                    .groupby(["l_orderkey", "supp_nation"],
-                             as_index=False).sum())
-
-    parts = li.map_batches(Partial, batch_format="pandas",
-                           concurrency=(1, 4))
+    parts = li.map_batches(partial, batch_format="pandas")
     side, probe = _orders_cust_nation_side_window(sf_dir, year_lo, year_hi,
                                                   gate_bytes)
     withn = attach_lookup(parts, "l_orderkey", side, "o_orderkey",

@@ -1,6 +1,6 @@
 """Per-process shared base-table reads for the query surface.
 
-The 273-entry query suite re-decoded the same handful of parquet tables
+The query suite re-decoded the same handful of parquet tables
 once per query — at sf0.1 that is ~1-2 s of ReadParquet per pipeline,
 the dominant share of the suite's per-query constant (measured: a
 fresh lineitem read costs 1.2-4 s; reusing materialized blocks 0.4-1.6 s).

@@ -26,6 +26,7 @@ import ray.data as rd
 from ..functions.hashing import hash64, mix64
 from ..functions.numeric import blob_matrix, round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
+from .shuffle import broadcast_get
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -681,23 +682,19 @@ def embedding_near_dup_pairs(sf_dir: str, threshold: float = 0.45) -> pd.DataFra
 
     ds = base_dataset(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    class PairFinder:
-        def __init__(self):
-            self.ids, self.mat = ray.get(ref)
-            self.pos = {v: i for i, v in enumerate(self.ids)}
+    def pair_finder(df: pd.DataFrame) -> pd.DataFrame:
+        all_ids, mat = broadcast_get(ref)
+        q = np.stack(df["embedding"].to_numpy()).astype(np.float64)
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        sims = q @ mat.T                             # (batch, corpus)
+        qi = df["vec_id"].to_numpy()
+        r, c = np.nonzero(sims >= threshold)
+        ia, ib = qi[r], all_ids[c]
+        keep = ia < ib                                # each pair once, no self
+        return pd.DataFrame({"id_a": ia[keep].astype(np.int64),
+                             "id_b": ib[keep].astype(np.int64)})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            q = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-            q /= np.linalg.norm(q, axis=1, keepdims=True)
-            sims = q @ self.mat.T                    # (batch, corpus)
-            qi = df["vec_id"].to_numpy()
-            r, c = np.nonzero(sims >= threshold)
-            ia, ib = qi[r], self.ids[c]
-            keep = ia < ib                            # each pair once, no self
-            return pd.DataFrame({"id_a": ia[keep].astype(np.int64),
-                                 "id_b": ib[keep].astype(np.int64)})
-
-    return (ds.map_batches(PairFinder, batch_format="pandas", concurrency=(1, 2))
+    return (ds.map_batches(pair_finder, batch_format="pandas")
               .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
 
 

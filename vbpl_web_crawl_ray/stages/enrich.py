@@ -16,6 +16,7 @@ import ray.data as rd
 from ..functions.fuzzy import pairwise_similarity, ratio, similarity
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
+from .shuffle import broadcast_get
 
 
 def fuzzy_lookup(ds: rd.Dataset, key_col: str, candidates: list[dict],
@@ -29,28 +30,23 @@ def fuzzy_lookup(ds: rd.Dataset, key_col: str, candidates: list[dict],
     out_cols = out_cols or [c for c in (candidates[0] if candidates else {})
                             if c != cand_key]
 
-    class Lookup:
-        def __init__(self):
-            self.cands = ray.get(cand_ref)
-            self.cache: dict[str, dict | None] = {}
+    def lookup(df: pd.DataFrame) -> pd.DataFrame:
+        cands = broadcast_get(cand_ref)
+        cache: dict[str, dict | None] = {}
 
-        def match(self, key: str):
-            if key not in self.cache:
-                hit = None
-                for c in self.cands:
-                    if ratio(key, c[cand_key]) >= threshold:
-                        hit = c
-                        break
-                self.cache[key] = hit
-            return self.cache[key]
+        def match(key: str):
+            if key not in cache:
+                cache[key] = next((c for c in cands
+                                   if ratio(key, c[cand_key]) >= threshold),
+                                  None)
+            return cache[key]
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            hits = [self.match(k) for k in df[key_col]]
-            for c in out_cols:
-                df[c] = [h[c] if h else None for h in hits]
-            return df
+        hits = [match(k) for k in df[key_col]]
+        for c in out_cols:
+            df[c] = [h[c] if h else None for h in hits]
+        return df
 
-    return ds.map_batches(Lookup, batch_format="pandas", concurrency=(1, 4))
+    return ds.map_batches(lookup, batch_format="pandas")
 
 
 def containment_enrich(ds: rd.Dataset, key_col: str, existing_col: str,
@@ -64,25 +60,22 @@ def containment_enrich(ds: rd.Dataset, key_col: str, existing_col: str,
     keep ``existing_col`` unless it is null or the default)."""
     cand_ref = ray.put(candidates)
 
-    class Lookup:
-        def __init__(self):
-            self.cands = ray.get(cand_ref)
+    def enrich(df: pd.DataFrame) -> pd.DataFrame:
+        cands = broadcast_get(cand_ref)
 
-        def enrich_one(self, key: str):
-            vals = [c[cand_value] for c in self.cands
+        def enrich_one(key: str):
+            vals = [c[cand_value] for c in cands
                     if key and key in c[cand_title]]
             return " - ".join(dict.fromkeys(vals)) if vals else default
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            new = np.array([self.enrich_one(k) for k in df[key_col]],
-                           dtype=object)
-            old = df[existing_col].to_numpy(dtype=object)
-            keep_old = np.array(
-                [not pd.isna(o) and o != default for o in old], dtype=bool)
-            df[out_col] = np.where(keep_old, old, new)
-            return df
+        new = np.array([enrich_one(k) for k in df[key_col]], dtype=object)
+        old = df[existing_col].to_numpy(dtype=object)
+        keep_old = np.array(
+            [not pd.isna(o) and o != default for o in old], dtype=bool)
+        df[out_col] = np.where(keep_old, old, new)
+        return df
 
-    return ds.map_batches(Lookup, batch_format="pandas", concurrency=(1, 4))
+    return ds.map_batches(enrich, batch_format="pandas")
 
 
 def derive_effect_state(effective_date, expiry_date, now) -> str:

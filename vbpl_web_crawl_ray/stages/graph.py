@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .shuffle import bucketed_group_apply, compact_for_join
+from .shuffle import broadcast_get, bucketed_group_apply, compact_for_join
 
 
 def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
@@ -441,22 +441,18 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
     import ray
     dref = ray.put(dict(zip(deg["node"], deg["d"])))
 
-    class Orient:
-        def __init__(self):
-            self.d = ray.get(dref)
+    def orient(df: pd.DataFrame) -> pd.DataFrame:
+        d = broadcast_get(dref)
+        du = df["u"].map(d).to_numpy()
+        dv = df["v"].map(d).to_numpy()
+        # (degree, id) order: strictly smaller key points outward
+        u_first = (du < dv) | ((du == dv)
+                               & (df["u"].to_numpy() < df["v"].to_numpy()))
+        return pd.DataFrame({
+            "s": np.where(u_first, df["u"], df["v"]),
+            "t": np.where(u_first, df["v"], df["u"])})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            du = df["u"].map(self.d).to_numpy()
-            dv = df["v"].map(self.d).to_numpy()
-            # (degree, id) order: strictly smaller key points outward
-            u_first = (du < dv) | ((du == dv)
-                                   & (df["u"].to_numpy() < df["v"].to_numpy()))
-            return pd.DataFrame({
-                "s": np.where(u_first, df["u"], df["v"]),
-                "t": np.where(u_first, df["v"], df["u"])})
-
-    oriented = ded.map_batches(Orient, batch_format="pandas",
-                               concurrency=(1, 4))
+    oriented = ded.map_batches(orient, batch_format="pandas")
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["s", "t"], kind="mergesort")
@@ -557,17 +553,11 @@ def k_core(edges, k: int = 3, src: str = "src", dst: str = "dst",
             break
         rref = ray.put(fringe)
 
-        class Drop:
-            def __init__(self):
-                self.gone = ray.get(rref)
+        def drop(df: pd.DataFrame) -> pd.DataFrame:
+            gone = broadcast_get(rref)
+            return df[~df["u"].isin(gone) & ~df["v"].isin(gone)]
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                keep = (~df["u"].isin(self.gone)
-                        & ~df["v"].isin(self.gone))
-                return df[keep]
-
-        cur = cur.map_batches(Drop, batch_format="pandas",
-                              concurrency=(1, 4)).materialize()
+        cur = cur.map_batches(drop, batch_format="pandas").materialize()
     else:
         raise RuntimeError("k_core failed to converge")
 
@@ -610,19 +600,15 @@ def bfs_depths(edges, seed: str, src: str = "src", dst: str = "dst",
     for depth in range(1, max_depth + 1):
         fref = ray.put(frontier)
 
-        class Expand:
-            def __init__(self):
-                self.f = ray.get(fref)
+        def expand(df: pd.DataFrame) -> pd.DataFrame:
+            f = broadcast_get(fref)
+            u_in = df["u"].isin(f).to_numpy()
+            v_in = df["v"].isin(f).to_numpy()
+            nxt = np.concatenate([df["v"].to_numpy()[u_in],
+                                  df["u"].to_numpy()[v_in]])
+            return pd.DataFrame({"node": pd.unique(nxt)})
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                u_in = df["u"].isin(self.f).to_numpy()
-                v_in = df["v"].isin(self.f).to_numpy()
-                nxt = np.concatenate([df["v"].to_numpy()[u_in],
-                                      df["u"].to_numpy()[v_in]])
-                return pd.DataFrame({"node": pd.unique(nxt)})
-
-        nxt = (ded.map_batches(Expand, batch_format="pandas",
-                               concurrency=(1, 4)).to_pandas())
+        nxt = ded.map_batches(expand, batch_format="pandas").to_pandas()
         frontier = set(nxt["node"]) - set(visited)
         if not frontier:
             break

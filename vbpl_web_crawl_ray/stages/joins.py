@@ -22,7 +22,7 @@ import ray.data as rd
 
 from ..functions.hashing import hash64
 from ..state.bloom import BloomFilter
-from .shuffle import bucketed_group_apply
+from .shuffle import broadcast_get, bucketed_group_apply
 
 
 def build_key_bloom(keys, capacity: int | None = None,
@@ -65,35 +65,15 @@ def build_key_bloom_dist(ds: rd.Dataset, key_col: str,
     return proto
 
 
-# above this snapshot size the per-batch BloomFilter.restore copy stops
-# being negligible and an actor pool (restore once per actor) wins; below
-# it, stateless tasks fuse with the upstream read and skip pool startup
-_BLOOM_ACTOR_GATE = 64 << 20
-
-
 def bloom_semi_join(ds: rd.Dataset, key_col: str,
                     bloom: BloomFilter) -> rd.Dataset:
     """Keep rows whose key is (probably) in the filter. No false negatives:
     every truly-matching row survives; FP-rate of extra rows is the
     filter's (callers verify downstream when exactness matters)."""
-    snap = bloom.snapshot()
-    ref = ray.put(snap)
-
-    if len(snap["bits"]) > _BLOOM_ACTOR_GATE:
-        class Probe:
-            def __init__(self):
-                self.bf = BloomFilter.restore(ray.get(ref))
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                mask = self.bf.contains(
-                    hash64(df[key_col].astype(str).to_numpy()))
-                return df[mask]
-
-        return ds.map_batches(Probe, batch_format="pandas",
-                              concurrency=(1, 4))
+    ref = ray.put(bloom)
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
-        bf = BloomFilter.restore(ray.get(ref))
+        bf = broadcast_get(ref)
         return df[bf.contains(hash64(df[key_col].astype(str).to_numpy()))]
 
     return ds.map_batches(probe, batch_format="pandas")
@@ -104,32 +84,14 @@ def bloom_anti_join(ds: rd.Dataset, key_col: str, bloom: BloomFilter,
     """Rows whose key is NOT in the set. The Bloom pass drops the certain
     non-members cheaply; rows the filter flags are re-checked against
     ``exact_keys`` (a set) when provided, restoring exactness."""
-    snap = bloom.snapshot()
-    ref = ray.put(snap)
+    ref = ray.put(bloom)
     keys_ref = ray.put(set(map(str, exact_keys)) if exact_keys is not None
                        else None)
 
-    if len(snap["bits"]) > _BLOOM_ACTOR_GATE:
-        class Probe:
-            def __init__(self):
-                self.bf = BloomFilter.restore(ray.get(ref))
-                self.exact = ray.get(keys_ref)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                flagged = self.bf.contains(
-                    hash64(df[key_col].astype(str).to_numpy()))
-                if self.exact is None:
-                    return df[~flagged]
-                really_in = df[key_col].astype(str).isin(self.exact).to_numpy()
-                return df[~(flagged & really_in)]
-
-        return ds.map_batches(Probe, batch_format="pandas",
-                              concurrency=(1, 4))
-
     def probe(df: pd.DataFrame) -> pd.DataFrame:
-        bf = BloomFilter.restore(ray.get(ref))
+        bf = broadcast_get(ref)
         flagged = bf.contains(hash64(df[key_col].astype(str).to_numpy()))
-        exact = ray.get(keys_ref)
+        exact = broadcast_get(keys_ref)
         if exact is None:
             return df[~flagged]
         really_in = df[key_col].astype(str).isin(exact).to_numpy()

@@ -16,6 +16,7 @@ single place partitioning is decided.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -28,10 +29,41 @@ _HKEY = "bucket_shuffle_0"  # exactly 16 bytes
 #: Side tables at or under this measured size ride as one ray.put
 #: broadcast; past it the attach becomes a bucketed join. 64 MB is the
 #: classic broadcast-join ceiling: small enough to deserialize once per
-#: actor without pressuring worker heaps, large enough that every true
-#: dimension table (nation/region/supplier/part at any SF that fits one
-#: machine) stays on the zero-shuffle path.
+#: worker process (see :func:`broadcast_get`) without pressuring worker
+#: heaps, large enough that every true dimension table
+#: (nation/region/supplier/part at any SF that fits one machine) stays on
+#: the zero-shuffle path.
 DEFAULT_GATE_BYTES = 64 << 20
+
+#: Broadcasts each worker process keeps deserialized. A query holds at
+#: most a few live broadcasts at once, so a small bound keeps every hot
+#: one resident while capping what a long-lived worker pins in its heap.
+_BROADCAST_CACHE_ENTRIES = 8
+_broadcast_cache: OrderedDict = OrderedDict()
+
+
+def broadcast_get(ref):
+    """``ray.get(ref)`` memoized per worker process.
+
+    Broadcast lookups (a driver-built dict, set or matrix shipped once via
+    ``ray.put``) are read by plain map_batches functions, which Ray Data
+    runs as tasks on its already-warm workers; this cache makes every
+    batch after a worker's first reuse the deserialized object instead of
+    paying an actor pool's start-up just to hold it. Keys are
+    ``ref.hex()``: each ``ray.put`` mints a new object id, so a rebuilt
+    broadcast is a new key and never a stale read. The cache holds at most
+    ``_BROADCAST_CACHE_ENTRIES`` objects and evicts the oldest first.
+    Callers must treat the returned object as read-only.
+    """
+    key = ref.hex()
+    if key in _broadcast_cache:
+        return _broadcast_cache[key]
+    import ray
+    value = ray.get(ref)
+    _broadcast_cache[key] = value
+    while len(_broadcast_cache) > _BROADCAST_CACHE_ENTRIES:
+        _broadcast_cache.popitem(last=False)
+    return value
 
 
 def resolve_num_buckets(requested: int | None = None) -> int:
@@ -135,7 +167,8 @@ def attach_lookup(fact: rd.Dataset, fact_key: str, side: rd.Dataset,
     ``fact_key == side_key``, choosing the strategy by measured size.
 
     Under the gate: the side collapses to one ray.put dict per payload
-    column and a stateless map_batches attaches them — ZERO shuffle, the
+    column and a stateless map_batches attaches them (read through
+    :func:`broadcast_get`) — ZERO shuffle, the
     classic broadcast join. Past the gate (side is fact-proportional,
     e.g. orders at 100 TB): ONE :func:`bucketed_join` moves both sides
     by hash(key) % B — the fallback the per-site docstrings promised but
@@ -158,21 +191,16 @@ def attach_lookup(fact: rd.Dataset, fact_key: str, side: rd.Dataset,
         return bucketed_join(fact, right, on=fact_key, how="left",
                              num_buckets=resolve_num_buckets(num_buckets))
 
-    maps = {c: ray.put(dict(zip(small[side_key], small[c])))
+    refs = {c: ray.put(dict(zip(small[side_key], small[c])))
             for c in payload_cols}
 
-    class Attach:
-        def __init__(self):
-            self.maps = {c: ray.get(r) for c, r in maps.items()}
+    def attach(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy(deep=False)
+        for c, r in refs.items():
+            df[c] = df[fact_key].map(broadcast_get(r))
+        return df
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy(deep=False)
-            for c, m in self.maps.items():
-                df[c] = df[fact_key].map(m)
-            return df
-
-    return fact.map_batches(Attach, batch_format="pandas",
-                            concurrency=(1, 4))
+    return fact.map_batches(attach, batch_format="pandas")
 
 
 def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
