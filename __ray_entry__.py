@@ -69,12 +69,10 @@ def entry() -> Any:
 
 
 def _docs(sf_dir: str):
-    import ray.data as rd
     return base_dataset(sf_dir, "documents", columns=["doc_id", "text"])
 
 
 def _docs_chars(sf_dir: str):
-    import ray.data as rd
     return base_dataset(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
 
 
@@ -128,7 +126,6 @@ def _stream_hopping_watermark(sf_dir: str):
     in event-time order nothing drops, so the finalized windows must
     equal the batch ragged-expansion GROUP BY (the same generate_series
     oracle as hopping_window). Late-drop semantics pytest-pinned."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.functions.numeric import round_half_away
     from vbpl_web_crawl_ray.stages.streaming import run_hopping_windows
 
@@ -153,7 +150,6 @@ def _stream_click_attribution(sf_dir: str):
     event-time order nothing drops and the output must equal the batch
     theta-join oracle (the same SQL as purchase_click_attribution);
     eviction and late-drop semantics are pinned by pytest."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.stages.streaming import run_interval_join
 
     ds = base_dataset(sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"])
@@ -172,7 +168,6 @@ def _stream_session_windows(sf_dir: str):
     sessions must equal the batch gaps-and-islands GROUP BY — the oracle.
     Session bounds are raw-timestamp pass-throughs (no float time math);
     the bridge-merge and late-drop semantics are pinned by pytest."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.functions.numeric import round_half_away
     from vbpl_web_crawl_ray.stages.streaming import run_session_windows
 
@@ -194,7 +189,6 @@ def _stream_tumbling_watermark(sf_dir: str):
     bounded): the stream fed in event-time order drops nothing, so the
     finalized output must equal the batch GROUP BY — the oracle. Window
     math is integer microseconds end to end."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.functions.numeric import round_half_away
     from vbpl_web_crawl_ray.stages.streaming import run_watermark_windows
 
@@ -218,7 +212,6 @@ def _stream_dedup_gate(sf_dir: str):
     id's dedup decision is local. The oracle states the same plant:
     delivered = all originals, dups = the planted retries."""
     import pandas as pd
-    import ray.data as rd
     from vbpl_web_crawl_ray.stages.streaming import run_dedup_gate
 
     ds = base_dataset(sf_dir, "events", columns=["event_id", "event_type", "ts"])
@@ -357,7 +350,6 @@ def _crawl_round_delta(sf_dir: str):
 def _stream_user_state(sf_dir: str):
     """Actor-held incremental per-user state (count/sum/EMA) over the
     ts-ordered events log (rows-only: EMA is not SQL-expressible)."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.stages.streaming import run_stream
     ds = base_dataset(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
     out = run_stream(ds, alpha=0.2)
@@ -463,7 +455,6 @@ def _enriched_meta(sf_dir: str):
     not SQL-expressible)."""
     import glob
 
-    import numpy as np
     import pandas as pd
     import ray.data as rd
     from vbpl_web_crawl_ray.sources.simweb import config_from_documents
@@ -635,7 +626,6 @@ def _cm_frequency_probe(sf_dir: str):
     (rows-only: the sketch is deterministic — seeded hashes, additive
     grid merges; the CM overestimate bound vs exact counts is
     pytest-pinned)."""
-    import ray.data as rd
     from vbpl_web_crawl_ray.stages.sketches import cm_sketch_counts
 
     ds = base_dataset(sf_dir, "events", columns=["event_type"])
@@ -794,7 +784,6 @@ def _embedding_dedup_filter(sf_dir: str):
     """Near-dup REMOVAL over embeddings: exact cosine pairs -> components
     -> keep the min-id representative per component; returns the surviving
     vec_id set (what a training pipeline actually feeds downstream)."""
-    import pandas as pd
     from vbpl_web_crawl_ray.stages.graph import connected_components
     pairs = dedup.embedding_near_dup_auto(sf_dir, threshold=0.45)
     cc = connected_components(pairs)
@@ -1564,33 +1553,6 @@ _WINDOW_R5 = [
     "chi2_independence", "bigram_lm_scores", "crop_resize_plan",
     "weighted_median", "stream_click_attribution",
     "rolling_distinct_users",
-]
-
-# Round-4 window, kept for the window-integrity test's history ledger.
-_WINDOW_R4 = [
-    "tfidf_topk", "quality_filter_counts", "doc_embedding_near_dup",
-    "embedding_near_dup_lsh", "ann_ivf_topk", "minhash_lsh_pairs",
-    "minhash_dup_clusters", "simhash_pairs",
-    # session-4 new oracle twins
-    "late_ship_orders", "large_volume_orders", "order_interarrival_stats",
-    "benford_price_digits", "canonical_token_dedup",
-    "consistent_hash_shards", "tile_pyramid_plan", "letterbox_pad_plan",
-    "rolling_median_value", "topk_types_with_other", "discount_tax_grid",
-    "embedding_sparsity_by_label", "nation_pair_trade",
-    "top_supplier_quarter", "order_priority_migration",
-    "cross_source_leakage", "stream_dedup_gate", "repeat_purchase_rate",
-    "linestatus_priority_counts", "disjunctive_revenue",
-    "sole_late_supplier", "zorder_clustering_audit",
-    "priority_month_bitmap", "caption_truncation_audit",
-    "forecast_revenue_change", "customer_order_distribution",
-    "small_order_revenue", "nation_share_of_region", "scan_pruning_audit",
-    "compaction_plan", "above_customer_avg_orders",
-    "supplier_part_breadth",
-    # longest-unchecked earlier round-4 twins
-    "cume_dist_prices", "fingerprint_hamming_histogram", "hapax_rate",
-    "zipf_slope", "brand_pair_lift", "rfm_segments", "yoy_growth",
-    "caption_stats_by_aspect", "format_dim_stats",
-    "payload_lance_roundtrip",
 ]
 
 

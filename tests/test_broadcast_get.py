@@ -3,11 +3,13 @@
 1. `stages/shuffle.broadcast_get`: a per-worker-process, entry-bounded
    cache of `ray.get` keyed by the object id, so a map_batches FUNCTION
    deserializes a broadcast once per worker instead of once per batch.
-2. Structural guard: no callable class in the package resolves a
+2. Structural guards: no callable class in the package resolves a
    broadcast in `__init__` (a class UDF makes Ray Data start an actor
    pool — 1-4 fresh worker processes per query — just to hold it), and
    every callable class left is on an explicit allow-list of stages
-   whose per-actor state is the point (models, decoders, the crawl).
+   whose per-actor state is the point (models, decoders, the crawl); no
+   function nested in another function (the map_batches UDF shape) calls
+   `ray.get` per batch unless it is on an explicit allow-list.
 3. Runtime guard: the benchmark's query mix starts no actor pool.
 """
 from __future__ import annotations
@@ -46,6 +48,14 @@ STATEFUL_STAGES = {
     "stages/multimodal.py:ResizeImages",
     "stages/parse.py:ParseStage",
     "stages/textstats.py:QualityModel",
+}
+
+#: Nested functions allowed to call ``ray.get``: each waits on its own
+#: actor calls rather than reading a broadcast.
+RAY_GET_CLOSURES = {
+    # map_batches UDF that blocks until its edge pushes to the partition
+    # actors have landed, so the task reports done only once staged
+    "stages/graph.py:_pagerank_actors.stage",
 }
 
 
@@ -130,12 +140,47 @@ def _callable_classes():
                        methods.get("__init__"))
 
 
+def _is_ray_get(n: ast.AST) -> bool:
+    return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "get" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("ray", "_ray"))
+
+
 def _calls_ray_get(fn: ast.FunctionDef | None) -> bool:
-    return fn is not None and any(
-        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-        and n.func.attr == "get" and isinstance(n.func.value, ast.Name)
-        and n.func.value.id in ("ray", "_ray")
-        for n in ast.walk(fn))
+    return fn is not None and any(_is_ray_get(n) for n in ast.walk(fn))
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn: ast.AST):
+    """Nodes of ``fn``'s body, not descending into functions nested in it."""
+    for child in ast.iter_child_nodes(fn):
+        if not isinstance(child, _FUNCS):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _nested_ray_get_sites():
+    """``path:qualname`` of every function nested in another function
+    whose own body calls ``ray.get``."""
+    pkg = ROOT / "vbpl_web_crawl_ray"
+
+    def visit(node, rel, qual, in_func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCS):
+                name = f"{qual}{getattr(child, 'name', '<lambda>')}"
+                if in_func and any(map(_is_ray_get, _own_nodes(child))):
+                    yield f"{rel}:{name}"
+                yield from visit(child, rel, name + ".", True)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, rel, f"{qual}{child.name}.", in_func)
+            else:
+                yield from visit(child, rel, qual, in_func)
+
+    for path in sorted(pkg.rglob("*.py")):
+        yield from visit(ast.parse(path.read_text()),
+                         path.relative_to(pkg).as_posix(), "", False)
 
 
 def test_no_class_udf_only_resolves_a_broadcast():
@@ -153,6 +198,18 @@ def test_no_class_udf_only_resolves_a_broadcast():
         f"state is the point: {unlisted}")
     assert not STATEFUL_STAGES - set(found), \
         f"stale allow-list entries: {sorted(STATEFUL_STAGES - set(found))}"
+
+
+def test_no_udf_gets_a_broadcast_per_batch():
+    found = set(_nested_ray_get_sites())
+    per_batch = sorted(found - RAY_GET_CLOSURES)
+    assert not per_batch, (
+        "nested functions call ray.get (a map_batches UDF deserializes the "
+        "broadcast once per batch); use stages.shuffle.broadcast_get, or "
+        "add a closure that waits on its own actor calls to "
+        f"RAY_GET_CLOSURES: {per_batch}")
+    assert not RAY_GET_CLOSURES - found, \
+        f"stale allow-list entries: {sorted(RAY_GET_CLOSURES - found)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Multimodal stages (decode/resize/features/phash near-dup) and the
 idempotent upsert sink."""
 
+import os
+
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
 from vbpl_web_crawl_ray.sources.imaging import (decode_image, encode_image,
                                                 gen_pixels, phash64)
 from vbpl_web_crawl_ray.stages import multimodal as mm
+from vbpl_web_crawl_ray.stages.shuffle import bucket_of
 from vbpl_web_crawl_ray.stages.upsert import last_write_wins, upsert_parquet
 
 
@@ -147,17 +151,57 @@ class TestUpsert:
         # data columns stay clean (bucket is only the hive partition col)
         assert set(got2.columns) <= {"k", "ts", "v", "bucket"}
 
-    def test_upsert_distributed_path(self, tmp_path):
+    def test_upsert_parquet_keeps_one_row_per_key_across_buckets(
+            self, tmp_path):
         out_dir = str(tmp_path / "big")
         ds = rd.from_items([{"k": i, "ts": 1, "v": str(i)} for i in range(64)])
-        upsert_parquet(ds, out_dir, ["k"], "ts", driver_merge_threshold=0)
+        upsert_parquet(ds, out_dir, ["k"], "ts")
         got = rd.read_parquet(out_dir).to_pandas()
         assert len(got) == 64
         upsert_parquet(rd.from_items([{"k": 1, "ts": 5, "v": "new"}]),
-                       out_dir, ["k"], "ts", driver_merge_threshold=0)
+                       out_dir, ["k"], "ts")
         got = rd.read_parquet(out_dir).to_pandas()
         assert len(got) == 64
         assert got.loc[got["k"] == 1, "v"].tolist() == ["new"]
+
+    def test_upsert_parquet_pulls_no_rows_to_driver(self, tmp_path,
+                                                    monkeypatch):
+        """Each bucket is merged and written by the task that owns it: a
+        whole-table to_pandas on the driver would grow with the table."""
+        def boom(self, *a, **k):
+            raise AssertionError("upsert_parquet pulled rows to the driver")
+
+        out_dir = str(tmp_path / "tbl")
+        monkeypatch.setattr(rd.Dataset, "to_pandas", boom)
+        for ts in (1, 2):
+            upsert_parquet(rd.from_items([{"k": i, "ts": ts, "v": f"{i}@{ts}"}
+                                          for i in range(32)]),
+                           out_dir, ["k"], "ts")
+        monkeypatch.undo()
+        got = rd.read_parquet(out_dir).to_pandas()
+        assert sorted(got["v"]) == sorted(f"{i}@2" for i in range(32))
+
+    def test_upsert_parquet_layout_after_replay(self, tmp_path):
+        """One key-sorted part-0.parquet per bucket=<b> dir, each holding
+        only keys that hash to b; a replay rewrites, never duplicates, and
+        leaves no temp file or directory behind."""
+        out_dir = str(tmp_path / "tbl")
+        batch = rd.from_items([{"k": i, "ts": 1, "v": str(i)}
+                               for i in range(40)], override_num_blocks=4)
+        for _ in range(2):
+            upsert_parquet(batch, out_dir, ["k"], "ts", num_buckets=4)
+        assert os.listdir(tmp_path) == ["tbl"]
+        dirs = sorted(os.listdir(out_dir))
+        assert dirs == [f"bucket={b}" for b in range(4)]
+        total = 0
+        for b, d in enumerate(dirs):
+            assert os.listdir(os.path.join(out_dir, d)) == ["part-0.parquet"]
+            keys = pq.read_table(os.path.join(out_dir, d, "part-0.parquet"),
+                                 partitioning=None).column("k").to_pylist()
+            assert keys == sorted(keys)
+            assert (bucket_of(np.array(keys), 4) == b).all()
+            total += len(keys)
+        assert total == 40
 
 
 def test_audio_features_known_signals(sf_dir):

@@ -34,12 +34,6 @@ def camel_to_snake(s: str) -> str:
     return _CAMEL_SPLIT.sub("_", s).lower().lstrip("_")
 
 
-def convert_dict_keys(d: dict, fn) -> dict:
-    """Apply a key-case converter to every key of a flat dict
-    (reference marshals API params this way, app/helper/utility.py:24-61)."""
-    return {fn(k): v for k, v in d.items()}
-
-
 # ---- text normalization (reference get_html_node_text, utility.py:64-67) ----
 
 def node_text(s: str | None) -> str | None:

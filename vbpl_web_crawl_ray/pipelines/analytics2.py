@@ -34,7 +34,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from ..stages.shuffle import broadcast_get, bucketed_group_apply
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 _DAY_US = 86_400 * 1_000_000
 _WEEK_US = 7 * _DAY_US
@@ -1051,7 +1051,7 @@ def q_event_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
     idxref = _ray.put(idx)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["event_type"].map(_ray.get(idxref)).to_numpy(np.int64)
+        m = df["event_type"].map(broadcast_get(idxref)).to_numpy(np.int64)
         return (pd.DataFrame({"user_id": df["user_id"].to_numpy(),
                               "mask": np.int64(1) << m})
                 .groupby("user_id", as_index=False)

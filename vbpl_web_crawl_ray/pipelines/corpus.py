@@ -17,7 +17,7 @@ import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..stages.shuffle import broadcast_get
 from ..stages.textstats import EN_STOPWORDS
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 
 def _docs(sf_dir: str, cols=("doc_id", "source", "text")) -> rd.Dataset:
@@ -345,8 +345,6 @@ def q_bigram_lm_scores(sf_dir: str) -> pd.DataFrame:
     (Unbounded vocabularies would swap the broadcast for the
     Misra-Gries heavy-hitter + bucketed-join path beside it.)"""
     import ray
-
-    from ..stages.shuffle import bucket_of  # noqa: F401  (family import)
 
     def _pairs(df: pd.DataFrame):
         toks = df["text"].str.split(" ")

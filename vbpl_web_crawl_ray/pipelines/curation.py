@@ -31,7 +31,8 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex_prefix
 from ..functions.numeric import round_half_away
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
+from ..stages.shuffle import broadcast_get
 
 # Bernoulli keep-threshold: first 8 md5 hex chars < this <=> u < 0.1 for
 # the uniform u = int(hex8,16)/2^32.  Hex strings of equal length compare
@@ -135,7 +136,7 @@ def q_decontaminate(sf_dir: str) -> pd.DataFrame:
     def probe(df: pd.DataFrame) -> pd.DataFrame:
         train = df[df["doc_id"] % EVAL_MOD != 0]
         doc_ids, gh = _gram_hashes(train)
-        evh = ray.get(ref)
+        evh = broadcast_get(ref)
         ix = np.searchsorted(evh, gh)
         hit = np.zeros(len(gh), dtype=bool)
         in_range = ix < len(evh)
@@ -188,7 +189,7 @@ def pack_dataset(docs: rd.Dataset) -> pd.DataFrame:
     ref = ray.put(offsets)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        base = ray.get(ref)[int(g["rb"].iloc[0])]
+        base = broadcast_get(ref)[int(g["rb"].iloc[0])]
         g = g.sort_values("doc_id")
         n = g["n_tokens"].to_numpy()
         cum = base + np.concatenate(([0], np.cumsum(n[:-1])))
@@ -239,7 +240,7 @@ def q_resample_plan(sf_dir: str) -> pd.DataFrame:
     ref = ray.put(weights)
 
     def plan(df: pd.DataFrame) -> pd.DataFrame:
-        w = ray.get(ref)
+        w = broadcast_get(ref)
         base = {l: int(np.floor(wt)) for l, wt in w.items()}
         thr = {l: format(int(np.floor((wt - np.floor(wt)) * 4294967296)),
                          "08x") for l, wt in w.items()}
@@ -281,7 +282,7 @@ def q_stratified_sample(sf_dir: str, cap: int = 300) -> pd.DataFrame:
     ref = ray.put(thresh)
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
-        th = ray.get(ref)
+        th = broadcast_get(ref)
         keys = ("strat:" + df["event_type"].astype(str) + ":"
                 + df["event_id"].astype(str))
         h = md5_hex_prefix(keys)

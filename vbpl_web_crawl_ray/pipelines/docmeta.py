@@ -12,10 +12,9 @@ doc_id — the crawl's meta table itself is not oracle-visible).
 from __future__ import annotations
 
 import pandas as pd
-import ray.data as rd
 
 from ..stages.enrich import derive_effect_state_batch
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 NOW = pd.Timestamp("2024-01-01")       # matches sources/simweb.SIM_NOW
 EPOCH = pd.Timestamp("2020-01-01")

@@ -23,7 +23,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 GROUP_COLS = ["source", "lang"]
 MOMENT_COLS = ["n", "s", "ss", "mn", "mx"]

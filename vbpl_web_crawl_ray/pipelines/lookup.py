@@ -20,19 +20,6 @@ def _files(out_dir: str, sub: str) -> list[str]:
     return sorted(glob.glob(f"{out_dir}/{sub}/round=*/*.parquet"))
 
 
-def _read_all(out_dir: str, sub: str):
-    files = _files(out_dir, sub)
-    if not files:
-        return None
-    if sub == "meta":
-        # a long-lived store may hold rounds written under older layouts
-        # (the reference's alembic chain) — evolve to the current surface
-        from ..sources.schema_evolution import (META_SCHEMA,
-                                                read_versioned_table)
-        return read_versioned_table(files, META_SCHEMA)
-    return pq.read_table(files)
-
-
 def prune_files_by_stats(files: list[str], col: str, keys) -> list[str]:
     """Zone-map pruning: keep only files whose parquet row-group
     [min, max] statistics for ``col`` can contain one of ``keys``.

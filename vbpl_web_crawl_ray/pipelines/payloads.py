@@ -18,7 +18,7 @@ import ray.data as rd
 from ..sources.imaging import encode_image, gen_pixels, phash64
 from ..stages import multimodal as mm
 from ..stages.fulltext import parse_fulltext_batch, sectionize_pdf_batch
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 _ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 _BIG = ["nhất", "hai", "ba", "bốn", "năm"]

@@ -14,13 +14,13 @@ is stable across summation orders.
 from __future__ import annotations
 
 import pandas as pd
-import pyarrow as pa
 import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..functions.numeric import round_half_away
 from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.upsert import last_write_wins
 from ..sources.tablecache import base_dataset, base_pandas
 
 _NUM_BUCKETS = None  # resolved per-call from the cluster (shuffle.resolve_num_buckets)
@@ -149,40 +149,20 @@ def q_latest_event_per_user(sf_dir: str):
     reference's order_by(updated_at.desc()).first() latest-version pick
     (app/service/vbpl.py:1091)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
-
-    def combiner(df: pd.DataFrame) -> pd.DataFrame:
-        # per-batch winner per key — shrinks the shuffle to keys x batches
-        return (df.sort_values(["ts", "event_id"])
-                  .groupby("user_id", as_index=False).tail(1))
-
-    def latest(g: pd.DataFrame) -> pd.DataFrame:
-        top = (g.sort_values(["ts", "event_id"])
-                .groupby("user_id", as_index=False).tail(1))
-        return top[["user_id", "ts", "event_type", "value"]]
-
-    return bucketed_group_apply(ds, "user_id", latest,
-                                num_buckets=_NUM_BUCKETS, partial_fn=combiner)
+    return last_write_wins(ds, ["user_id"], ["ts", "event_id"], _NUM_BUCKETS) \
+        .map_batches(lambda df: df[["user_id", "ts", "event_type", "value"]],
+                     batch_format="pandas")
 
 
 def q_lww_upsert(sf_dir: str):
     """A7: last-write-wins per composite key (user_id, event_type) — the
     upsert-merge semantics of push_vbpl_to_db (app/service/vbpl.py:186-252)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # combiner: keep only the per-batch winner per key before the shuffle
-        df = df.sort_values(["ts", "event_id"])
-        return df.groupby(["user_id", "event_type"], as_index=False).tail(1)
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        top = (g.sort_values(["ts", "event_id"])
-                .groupby(["user_id", "event_type"], as_index=False).tail(1))
-        return pd.DataFrame({"user_id": top["user_id"].to_numpy(),
-                             "event_type": top["event_type"].to_numpy(),
-                             "last_value": top["value"].to_numpy()})
-
-    return bucketed_group_apply(ds, "user_id", final,
-                                num_buckets=_NUM_BUCKETS, partial_fn=partial)
+    return last_write_wins(ds, ["user_id", "event_type"], ["ts", "event_id"],
+                           _NUM_BUCKETS) \
+        .map_batches(lambda df: df[["user_id", "event_type", "value"]]
+                     .rename(columns={"value": "last_value"}),
+                     batch_format="pandas")
 
 
 def q_topk_per_group(sf_dir: str):
@@ -264,7 +244,7 @@ def q_anti_join(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
 
     def anti(df: pd.DataFrame) -> pd.DataFrame:
-        seen = ray.get(ref)
+        seen = broadcast_get(ref)
         return df[~df["c_custkey"].isin(seen)]
 
     return cust.map_batches(anti, batch_format="pandas")
@@ -278,7 +258,7 @@ def q_semi_join(sf_dir: str):
     part = _read(sf_dir, "part", ["p_partkey", "p_name"])
 
     def semi(df: pd.DataFrame) -> pd.DataFrame:
-        seen = ray.get(ref)
+        seen = broadcast_get(ref)
         return df[df["p_partkey"].isin(seen)]
 
     return part.map_batches(semi, batch_format="pandas")
@@ -292,7 +272,7 @@ def q_string_agg_per_nation(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_nationkey", "c_name"])
 
     def add_nation(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(n_name=df["c_nationkey"].map(ray.get(lookup)))
+        return df.assign(n_name=df["c_nationkey"].map(broadcast_get(lookup)))
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         names = " - ".join(sorted(g["c_name"]))

@@ -12,7 +12,7 @@ import ray.data as rd
 
 from ..functions.hashing import hash64
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..sources.tablecache import base_dataset, base_pandas
 
 _NUM_BUCKETS = 8
@@ -49,7 +49,7 @@ def q_intersect_distinct(sf_dir: str):
     ref = ray.put(rich)
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ray.get(ref)
+        keys = broadcast_get(ref)
         out = df[(df["c_mktsegment"] == "BUILDING")
                  & df["c_custkey"].isin(keys)]
         return out[["c_custkey", "c_name"]].drop_duplicates()
@@ -68,7 +68,7 @@ def q_except_distinct(sf_dir: str):
     ref = ray.put(rich)
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ray.get(ref)
+        keys = broadcast_get(ref)
         out = df[(df["c_mktsegment"] == "BUILDING")
                  & ~df["c_custkey"].isin(keys)]
         return out[["c_custkey", "c_name"]].drop_duplicates()
@@ -630,7 +630,7 @@ def q_ntile_quartiles(sf_dir: str):
         for b, sub in g.groupby("bin"):
             sub = sub.sort_values(["o_totalprice", "o_orderkey"],
                                   kind="mergesort")
-            pos = ray.get(oref)[int(b)] + np.arange(len(sub))
+            pos = broadcast_get(oref)[int(b)] + np.arange(len(sub))
             # exact SQL NTILE(4): first (total%4) tiles get one extra row
             base, rem = divmod(total, 4)
             cut = rem * (base + 1)

@@ -488,7 +488,6 @@ def q_top_suppliers_by_volume(sf_dir: str, k: int = 10) -> pd.DataFrame:
     rollup: per-supplier integer quantity partials merge, names attach
     from the broadcast supplier dim only for the k winners, ties break
     on the supplier key. All integers."""
-    import ray
 
     li = _read(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
 

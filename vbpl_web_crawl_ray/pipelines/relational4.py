@@ -98,9 +98,9 @@ def q_returned_item_customers(sf_dir: str, k: int = 20,
 
 def q_promo_revenue_share(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q14's shape: the monthly share of revenue coming from PROMO
-    parts. The partkey -> is-promo classifier broadcasts once (bounded
-    by |part|; past the broadcast gate it becomes a bucketed semi-join
-    key set), lineitem is touched once emitting per-month (promo, total)
+    parts. The partkey -> is-promo key set broadcasts once, ungated
+    (bounded by |part|, which is read to the driver to build it),
+    lineitem is touched once emitting per-month (promo, total)
     integer-unit partials, and the close is ONE stated float chain per
     month — ROUND(100.0 * promo / total, 6), identical IEEE ops in both
     engines (the u4 sums stay < 2^53, so the int -> double casts are

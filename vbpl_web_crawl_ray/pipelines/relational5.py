@@ -164,7 +164,7 @@ def q_order_interarrival_stats(sf_dir: str) -> pd.DataFrame:
         same = ck[1:] == ck[:-1]
         gap_days = (us[1:] - us[:-1])[same] // _US_PER_DAY
         cks = ck[1:][same]
-        seg = pd.Series(cks).map(ray.get(segref)).to_numpy()
+        seg = pd.Series(cks).map(broadcast_get(segref)).to_numpy()
         return (pd.DataFrame({"segment": seg, "n_gaps": np.int64(1),
                               "sum_gap_days": gap_days,
                               "min_gap_days": gap_days,
@@ -497,7 +497,7 @@ def q_repeat_purchase_rate(sf_dir: str) -> pd.DataFrame:
 
     def gate(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("o_custkey", as_index=False)["n"].sum()
-        seg = c["o_custkey"].map(ray.get(segref)).to_numpy()
+        seg = c["o_custkey"].map(broadcast_get(segref)).to_numpy()
         return (pd.DataFrame({
             "segment": seg, "n_customers": np.int64(1),
             "n_repeat": (c["n"].to_numpy() >= 2).astype(np.int64)})
@@ -1075,7 +1075,7 @@ def q_promo_revenue_share(sf_dir: str, lo: str = "1996-03-01",
             .astype(np.int64)
         d = np.round(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
         u4 = cents * (100 - d)
-        is_promo = df["l_partkey"].isin(ray.get(pref)).to_numpy()
+        is_promo = df["l_partkey"].isin(broadcast_get(pref)).to_numpy()
         return pd.DataFrame({"promo_u4": [int(u4[is_promo].sum())],
                              "total_u4": [int(u4.sum())]})
 

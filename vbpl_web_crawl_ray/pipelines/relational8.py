@@ -36,7 +36,7 @@ import pandas as pd
 
 from ..functions.hashing import md5_hex_prefix
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply
 
 DEBOUNCE_US = 4 * 3600 * 1_000_000     # 4-hour debounce window
 MERKLE_LEAVES = 64                     # 4-ary tree: 64 -> 16 -> 4 -> 1
@@ -182,7 +182,7 @@ def q_bfs_hop_counts(sf_dir: str) -> pd.DataFrame:
         f_ref = ray.put(frontier)
 
         def reach(df: pd.DataFrame) -> pd.DataFrame:
-            fmask = ray.get(f_ref)
+            fmask = broadcast_get(f_ref)
             v = df["v"].to_numpy(np.int64)[
                 fmask[df["u"].to_numpy(np.int64)]]
             return pd.DataFrame({"node": np.unique(v)})

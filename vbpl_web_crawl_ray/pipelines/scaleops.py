@@ -21,7 +21,7 @@ from ..functions.numeric import round_half_away
 from ..stages.joins import (bloom_anti_join, bloom_semi_join,
                             build_key_bloom_dist, salted_group_agg)
 from ..stages.shuffle import bucketed_group_apply
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:

@@ -116,12 +116,6 @@ def phash64(pixels: np.ndarray, grid: int = 8) -> int:
     return int(np.packbits(bits).view(">u8")[0])
 
 
-def phash_batch(bodies: list[bytes]) -> np.ndarray:
-    """Vectorized-over-batch phash of encoded images (decode is per-row —
-    inherent to codecs — but lives inside one map_batches call)."""
-    return np.array([phash64(decode_image(b)) for b in bodies], dtype=np.uint64)
-
-
 def dhash64(pixels: np.ndarray, grid: int = 8) -> int:
     """Difference-hash: block-mean downsample to grid x (grid+1), take the
     SIGN of each horizontal gradient -> 64-bit int. Complements phash
@@ -130,9 +124,3 @@ def dhash64(pixels: np.ndarray, grid: int = 8) -> int:
     blocks = block_means(pixels, grid, grid + 1)
     bits = (blocks[:, 1:] > blocks[:, :-1]).ravel()
     return int(np.packbits(bits).view(">u8")[0])
-
-
-def dhash_batch(bodies: list[bytes]) -> np.ndarray:
-    """Batch dhash of encoded images (decode per row, one call per batch)."""
-    return np.array([dhash64(decode_image(b)) for b in bodies],
-                    dtype=np.uint64)

@@ -23,8 +23,6 @@ import datetime as _dt
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..functions.hashing import hash64_one
 from .imaging import encode_image, gen_pixels
 

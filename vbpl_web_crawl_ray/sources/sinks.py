@@ -32,15 +32,6 @@ def write_payload(ds: rd.Dataset, path: str) -> str:
     return "parquet"
 
 
-def read_payload(path: str) -> rd.Dataset:
-    if lance_available():
-        try:
-            return rd.read_lance(path)
-        except Exception:
-            pass   # parquet-written dir under a lance-capable env
-    return rd.read_parquet(path)
-
-
 def export_crawl_payload(out_dir: str, dest: str) -> dict:
     """Collapse a crawl's per-round payload into one deduplicated table at
     ``dest`` (rounds are versions, later wins) in the best available

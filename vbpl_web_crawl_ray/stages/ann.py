@@ -28,7 +28,8 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import blob_matrix, round_half_away
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
+from .shuffle import broadcast_get
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -73,7 +74,7 @@ def brute_force_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pd.Data
     ds = base_dataset(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qv = ray.get(qref)
+        qv = broadcast_get(qref)
         mat = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
         sims = mat @ qv
         ids = df["vec_id"].to_numpy()
@@ -113,7 +114,7 @@ def fixedpoint_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     ds = base_dataset(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qv = ray.get(qref)
+        qv = broadcast_get(qref)
         mat = np.floor(np.stack(df["embedding"].to_numpy())
                        .astype(np.float64) * fscale).astype(np.int64)
         ids = df["vec_id"].to_numpy().astype(np.int64)
@@ -153,7 +154,7 @@ def _distributed_kmeans(embds: rd.Dataset, dim: int, n_cells: int,
         cref = ray.put(cents)
 
         def partials(df: pd.DataFrame) -> pd.DataFrame:
-            c = ray.get(cref)
+            c = broadcast_get(cref)
             m = blob_matrix(df["emb"], np.float64)
             a = np.argmax(m @ c.T, axis=1)
             sums = np.zeros((len(c), m.shape[1]))
@@ -260,7 +261,7 @@ def build_ivf_index(sf_dir: str, out_dir: str | None = None,
     cref = ray.put(cents)
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        c = ray.get(cref)
+        c = broadcast_get(cref)
         m = blob_matrix(df["emb"], np.float64)
         return df.assign(cell=np.argmax(m @ c.T, axis=1).astype(np.int64))
 
@@ -290,7 +291,7 @@ def ivf_query(cents: np.ndarray, posting_dir: str, q: np.ndarray,
     qref = ray.put(q)
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qv = ray.get(qref)
+        qv = broadcast_get(qref)
         m = blob_matrix(df["emb"], np.float64)
         sims = m @ qv
         idx = np.argsort(-sims, kind="stable")[:k]
@@ -343,7 +344,7 @@ def lsh_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     pref = ray.put((planes, qcodes, q))
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
-        planes_, qcodes_, qv = ray.get(pref)
+        planes_, qcodes_, qv = broadcast_get(pref)
         m = blob_matrix(df["emb"], np.float64)
         match = np.zeros(len(m), dtype=bool)
         for t in range(len(planes_)):
@@ -407,7 +408,7 @@ def lsh_near_dup_pairs(embds: rd.Dataset, threshold: float,
         return pd.DataFrame(cols)
 
     def signatures(df: pd.DataFrame) -> pd.DataFrame:
-        planes_ = ray.get(planes_ref)
+        planes_ = broadcast_get(planes_ref)
         v = blob_matrix(df["emb"], np.float64)
         out_key, out_id, out_emb = [], [], []
         for t in range(len(planes_)):
@@ -494,7 +495,7 @@ def multi_query_topk(sf_dir: str, query_vec_ids: tuple[int, ...] = (0, 1, 2, 3),
     ds = base_dataset(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qids_, qm_ = ray.get(qref)
+        qids_, qm_ = broadcast_get(qref)
         mat = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
         sims = round_half_away(mat @ qm_.T, 4)          # n x Q
         ids = df["vec_id"].to_numpy()
@@ -547,7 +548,7 @@ def projected_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     qref = ray.put(qv.astype(np.float64))
 
     def local_cands(df: pd.DataFrame) -> pd.DataFrame:
-        qq = ray.get(qref)
+        qq = broadcast_get(qref)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         sims = mat @ qq
         ids = df["vec_id"].to_numpy()
@@ -565,7 +566,7 @@ def projected_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10,
 
     def rescore(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["vec_id"].to_numpy()
-        m = np.isin(ids, ray.get(cset))
+        m = np.isin(ids, broadcast_get(cset))
         if not m.any():
             return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
                                  "cos_sim": pd.Series(dtype=np.float64)})

@@ -118,7 +118,7 @@ def _attach_pair_payloads(cand: rd.Dataset, payloads: rd.Dataset,
 
         def attach_bcast(g: pd.DataFrame) -> pd.DataFrame:
             g = g.drop_duplicates(["id_a", "id_b"])
-            m = ray.get(ref)
+            m = broadcast_get(ref)
             out = g.assign(**{a_col: g["id_a"].map(m),
                               b_col: g["id_b"].map(m)})
             return out.dropna(subset=[a_col, b_col])   # inner semantics
@@ -658,7 +658,6 @@ def embedding_near_dup_auto(sf_dir: str, threshold: float = 0.45,
     carries only signatures and verifies inside buckets — the 100-TB
     shape. Both emit the same (id_a, id_b) schema; subset/recall parity
     is pinned in tests."""
-    import ray.data as rd
     n = base_dataset(sf_dir, "embeddings", columns=["vec_id"]).count()
     if n <= max_brute_rows:
         return embedding_near_dup_pairs(sf_dir, threshold)

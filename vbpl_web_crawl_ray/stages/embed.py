@@ -20,7 +20,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.hashing import hash64
-from ..sources.tablecache import base_dataset, base_pandas
+from ..sources.tablecache import base_dataset
 
 
 class HashingEmbedder:

@@ -13,7 +13,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from ..functions.fuzzy import pairwise_similarity, ratio, similarity
+from ..functions.fuzzy import pairwise_similarity, ratio
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
 from .shuffle import broadcast_get
@@ -117,7 +117,7 @@ def fuzzy_name_pairs(sf_dir: str, threshold: float = 0.8) -> pd.DataFrame:
     acc_ref = ray.put((accepted, {k: sims[k] for k in accepted}))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        acc, simmap = ray.get(acc_ref)
+        acc, simmap = broadcast_get(acc_ref)
         rows_a, rows_b, rows_s = [], [], []
         for _, brand_g in g.groupby("p_brand"):  # a bucket holds >=1 brands
             by_name = {n: sub["p_partkey"].to_numpy()

@@ -165,8 +165,8 @@ def _pagerank_broadcast(edges_ds: rd.Dataset, src: str, dst: str,
         rref = ray.put(ranks / np.maximum(out_deg, 1.0))
 
         def contribs(df: pd.DataFrame) -> pd.DataFrame:
-            ix = ray.get(iref)
-            share = ray.get(rref)
+            ix = broadcast_get(iref)
+            share = broadcast_get(rref)
             j = np.fromiter((ix[v] for v in df[dst]), dtype=np.int64,
                             count=len(df))
             s = np.fromiter((share[ix[v]] for v in df[src]),
@@ -571,9 +571,9 @@ def bfs_depths(edges, seed: str, src: str = "src", dst: str = "dst",
     """Distributed BFS from a seed over an undirected edge set: classic
     frontier expansion — each round ONE vectorized pass over the edge
     dataset marks neighbours of the current frontier (broadcast as a
-    set via ray.put; a frontier too large for ray.put becomes a bucketed
-    semi-join on the endpoint, same loop), visited nodes accumulate, and
-    the loop ends when a frontier comes back empty. Edges canonicalize
+    set via ray.put every round, ungated: the frontier and the visited
+    map live on the driver, so both grow with the reachable node count),
+    and the loop ends when a frontier comes back empty. Edges canonicalize
     and dedup once up front; rounds = graph diameter. Returns (node,
     depth) for every reachable node."""
     import ray

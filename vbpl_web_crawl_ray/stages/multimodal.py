@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data as rd
 
 from ..sources.imaging import decode_image, encode_image, phash64

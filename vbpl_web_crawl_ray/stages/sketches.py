@@ -29,6 +29,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from .shuffle import broadcast_get
+
 # sentinel item carrying each batch's total item count through the same
 # (item, n) partial stream in the verify pass; "\x00" sorts before any
 # token and cannot appear in whitespace-split text
@@ -90,7 +92,7 @@ def mg_heavy_hitters(ds: rd.Dataset,
         total = int(vc.sum())
         # candidates were stringified in the sketch pass — probe the same
         # representation so non-string extracts (int keys) still match
-        sub = vc[vc.index.astype(str).isin(ray.get(cand_ref))]
+        sub = vc[vc.index.astype(str).isin(broadcast_get(cand_ref))]
         return pd.DataFrame({
             "item": list(sub.index.astype(str)) + [_TOTAL],
             "n": np.concatenate([sub.to_numpy(np.int64),

@@ -5,10 +5,14 @@ insert-or-update, app/service/vbpl.py:186-252); re-crawls are "resume by
 replay" because the upsert is idempotent. The engine form (SURVEY.md A7/J1):
 
 1. per-key last-write-wins reduce (bucketed shuffle, per-batch combiner)
-2. merge with the existing table (read old, union, reduce again)
-3. write each hash-partition directory ATOMICALLY (temp dir + rename),
-   so a failed run can be re-run and finished partitions are simply
-   overwritten with identical content — never half-written.
+   over the incoming rows unioned with the existing table;
+2. the task that owns a key-hash bucket sorts its newest rows by key and
+   writes them as ``bucket=<b>/part-0.parquet`` (temp file + ``os.replace``,
+   so a retried task overwrites its file, never duplicates it) into a
+   fresh directory; no row reaches the driver;
+3. the driver swaps that directory in ATOMICALLY (rename old away, new
+   in), so a failed run can be re-run and leaves either the old table or
+   the new one — never a half-written one.
 """
 
 from __future__ import annotations
@@ -16,11 +20,27 @@ from __future__ import annotations
 import os
 import shutil
 import uuid
+from typing import Callable
 
 import pandas as pd
 import ray.data as rd
+from ray.data.datasource import Partitioning
 
-from .shuffle import bucket_of, bucketed_group_apply
+from .shuffle import bucket_of, bucketed_group_apply, resolve_num_buckets
+
+
+def newest_rows(key_cols: list[str], ts_col: str | list[str],
+                ) -> Callable[[pd.DataFrame], pd.DataFrame]:
+    """The per-frame combiner of :func:`last_write_wins`: keep the row
+    with the largest ``ts_col`` per key (stable sort, so equal timestamps
+    keep the later-arriving row)."""
+    ts_cols = [ts_col] if isinstance(ts_col, str) else list(ts_col)
+
+    def combiner(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.sort_values(ts_cols, kind="mergesort")
+                  .groupby(key_cols, as_index=False).tail(1))
+
+    return combiner
 
 
 def last_write_wins(ds: rd.Dataset, key_cols: list[str],
@@ -30,64 +50,38 @@ def last_write_wins(ds: rd.Dataset, key_cols: list[str],
     forming a total order (e.g. ["ts", "event_id"]) for determinism under
     any input partitioning; a bare timestamp with ties falls back to
     arrival order like the reference's overwrite-on-replay."""
-    ts_cols = [ts_col] if isinstance(ts_col, str) else list(ts_col)
-
-    def combiner(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(ts_cols, kind="mergesort")
-                  .groupby(key_cols, as_index=False).tail(1))
-
+    combiner = newest_rows(key_cols, ts_col)
     return bucketed_group_apply(ds, key_cols[0], combiner,
                                 num_buckets=num_buckets, partial_fn=combiner)
 
 
 def upsert_parquet(ds: rd.Dataset, out_dir: str, key_cols: list[str],
-                   ts_col: str, num_buckets: int | None = None,
-                   driver_merge_threshold: int = 1_000_000) -> str:
+                   ts_col: str, num_buckets: int | None = None) -> str:
     """Merge ``ds`` into the parquet table at ``out_dir`` (hash-partitioned
-    by key into ``bucket=*/`` dirs), last-write-wins per key. Small results
-    lay out on the driver; above ``driver_merge_threshold`` rows the
-    partitioned write runs distributed."""
-    from .shuffle import resolve_num_buckets
+    by key into ``bucket=*/`` dirs), last-write-wins per key. Each bucket
+    is merged and written by the task that owns it."""
     num_buckets = resolve_num_buckets(num_buckets)
-    key = key_cols[0]
     if os.path.isdir(out_dir) and any(
             e.startswith("bucket=") for e in os.listdir(out_dir)):
-        existing = rd.read_parquet(out_dir)
-        # hive partitioning restores the bucket as a column on read (normal
-        # hive-table semantics) -> drop it so the union schema matches the
-        # incoming dataset
-        existing = existing.map_batches(
-            lambda df: df.drop(columns=[c for c in df.columns
-                                        if c in ("__b", "bucket")]),
-            batch_format="pandas")
-        ds = ds.union(existing)
-    merged = last_write_wins(ds, key_cols, ts_col, num_buckets)
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__b=bucket_of(df[key].to_numpy(), num_buckets))
-
-    # materialize ONCE: count() on a materialized dataset is metadata, and
-    # both the driver and the distributed layout consume the same blocks —
-    # no double execution of the merged plan
-    bucketed = merged.map_batches(add_bucket, batch_format="pandas").materialize()
-    pdf = bucketed.to_pandas() \
-        if bucketed.count() < driver_merge_threshold else None
+        # partitioning=None: bucket=* is layout, not a column to merge
+        ds = ds.union(rd.read_parquet(out_dir, partitioning=None))
+    newest = newest_rows(key_cols, ts_col)
     tmp = f"{out_dir}.tmp-{uuid.uuid4().hex[:8]}"
-    os.makedirs(tmp, exist_ok=True)
-    if pdf is not None:
-        for b, sub in pdf.groupby("__b"):
-            pdir = os.path.join(tmp, f"bucket={b}")
-            os.makedirs(pdir, exist_ok=True)
-            sub.drop(columns="__b").sort_values(key_cols).to_parquet(
-                os.path.join(pdir, "part-0.parquet"), index=False)
-    else:  # large path: distributed hive-partitioned write (one dir per
-        # key-hash bucket — the resumable layout at scale)
-        bucketed.write_parquet(tmp, partition_cols=["__b"])
-        # normalize dir names to the bucket=*/ layout
-        for e in os.listdir(tmp):
-            if e.startswith("__b="):
-                os.rename(os.path.join(tmp, e),
-                          os.path.join(tmp, "bucket=" + e.split("=", 1)[1]))
+    os.makedirs(tmp)
+
+    def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        rows = newest(g).sort_values(key_cols)
+        b = int(bucket_of(rows[key_cols[0]].to_numpy()[:1], num_buckets)[0])
+        pdir = os.path.join(tmp, f"bucket={b}")
+        os.makedirs(pdir, exist_ok=True)
+        path = os.path.join(pdir, "part-0.parquet")
+        part = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
+        rows.to_parquet(part, index=False)
+        os.replace(part, path)
+        return pd.DataFrame({"bucket": [b], "rows": [len(rows)]})
+
+    bucketed_group_apply(ds, key_cols[0], write_bucket, num_buckets,
+                         partial_fn=newest).take_all()
     # atomic swap: rename old away, new in (a crash leaves either old or new)
     old = f"{out_dir}.old-{uuid.uuid4().hex[:8]}"
     if os.path.isdir(out_dir):
@@ -103,13 +97,6 @@ def compact_crawl_output(out_dir: str, table: str = "payload",
     rounds are versions, later rounds win per key (A7 last-write-wins).
     Re-runnable: compaction of a compacted+unchanged input is a no-op
     rewrite with identical content."""
-    import ray.data as rd
-    ds = rd.read_parquet(f"{out_dir}/{table}")  # hive round=* partitions
-
-    def cast_round(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["round"] = df["round"].astype("int64")
-        return df
-
-    ds = ds.map_batches(cast_round, batch_format="pandas")
+    ds = rd.read_parquet(f"{out_dir}/{table}", partitioning=Partitioning(
+        "hive", field_types={"round": int}))
     return upsert_parquet(ds, f"{out_dir}/{table}_compacted", [key], "round")
