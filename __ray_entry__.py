@@ -714,8 +714,10 @@ def _crawl_host_stats(sf_dir: str):
     as a query). Rows-only."""
     import glob
 
+    import numpy as np
     import pandas as pd
     import ray.data as rd
+    from vbpl_web_crawl_ray.stages.shuffle import reduce_partials
 
     # same sim config as crawl_meta_flavors -> cache-shared crawl (the
     # log shape is flavor-independent)
@@ -728,21 +730,17 @@ def _crawl_host_stats(sf_dir: str):
         columns=["host", "fetch_time"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("host", as_index=False).agg(
-            n_fetched=("fetch_time", "size"),
-            t_min=("fetch_time", "min"), t_max=("fetch_time", "max"))
-        return g
+        return pd.DataFrame({"host": df["host"], "n_fetched": np.int64(1),
+                             "t_min": df["fetch_time"],
+                             "t_max": df["fetch_time"]})
 
-    parts = log.map_batches(partial, batch_format="pandas").to_pandas()
-    agg = parts.groupby("host", as_index=False).agg(
-        n_fetched=("n_fetched", "sum"),
-        t_min=("t_min", "min"), t_max=("t_max", "max"))
+    agg = reduce_partials(log, "host", partial,
+                          agg={"t_min": "min", "t_max": "max"})
     # politeness invariant: on an evenly-spaced virtual schedule the span
     # equals (n-1) * crawl_delay -> recover the delay per host
     agg["crawl_delay"] = ((agg["t_max"] - agg["t_min"])
                           / (agg["n_fetched"] - 1).clip(lower=1)).round(6)
-    agg["n_fetched"] = agg["n_fetched"].astype("int64")
-    return agg.sort_values("host").reset_index(drop=True)
+    return agg
 
 
 def _video_frame_sample(sf_dir: str):

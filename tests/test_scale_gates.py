@@ -7,16 +7,15 @@
    through that path (strategy invariance).
 2. Bucket-count invariance: the explicit shuffles are pure parallelism
    knobs — B=3 and B=17 produce identical frames.
-3. Hot-key salting: `salted_bucket_of` spreads a key holding 50% of the
-   rows across sub-buckets while a mergeable partial keeps the result
-   exact.
+
+Hot-key salting is `joins.salted_group_agg` (pinned with an 80%-hot key
+in `tests/test_joins.py::test_salted_group_agg_matches_plain_sum`).
 """
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -84,42 +83,3 @@ def test_resolve_num_buckets_precedence(monkeypatch):
     monkeypatch.delenv("GRAFT_NUM_BUCKETS")
     b = resolve_num_buckets()
     assert 8 <= b <= 256
-
-
-def test_salted_hot_key(ray_session):
-    """A key holding 50% of rows splits across sub-buckets under
-    salted_bucket_of; the two-stage mergeable sum stays exact."""
-    import ray.data as rd
-    from vbpl_web_crawl_ray.stages.shuffle import (
-        bucketed_group_apply, salted_bucket_of, bucket_of)
-
-    n = 20_000
-    rng = np.random.default_rng(7)
-    keys = np.where(rng.random(n) < 0.5, 0,
-                    rng.integers(1, 1000, n)).astype(np.int64)
-    vals = rng.integers(0, 100, n).astype(np.int64)
-    df = pd.DataFrame({"k": keys, "v": vals})
-
-    bucketer = salted_bucket_of(
-        hot_keys=[0],
-        salt_of=lambda d: d["v"].to_numpy(np.int64),
-        num_salts=8)
-
-    # the hot key's rows land in >1 bucket under the salted bucketer,
-    # while the plain bucketer puts them all in one
-    hot = df[df["k"] == 0]
-    plain = np.unique(bucket_of(hot["k"].to_numpy(), 16))
-    salted = np.unique(bucketer(hot, "k", 16))
-    assert len(plain) == 1 and len(salted) > 1
-
-    def partial(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby("k", as_index=False)["v"].sum()
-
-    out = (bucketed_group_apply(
-        rd.from_pandas(df), "k", partial, num_buckets=16,
-        partial_fn=partial, bucketer=bucketer)
-        .to_pandas().groupby("k", as_index=False)["v"].sum()
-        .sort_values("k").reset_index(drop=True))
-    expected = (df.groupby("k", as_index=False)["v"].sum()
-                  .sort_values("k").reset_index(drop=True))
-    pd.testing.assert_frame_equal(out, expected)

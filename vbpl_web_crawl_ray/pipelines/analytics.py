@@ -36,7 +36,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 from ..sources.tablecache import base_dataset, base_pandas
 
 EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -74,17 +74,12 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     def trans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         same = g["user_id"].eq(g["user_id"].shift(1))
-        d = pd.DataFrame({"prev_type": g["event_type"].shift(1)[same].to_numpy(),
-                          "next_type": g.loc[same, "event_type"].to_numpy()})
-        return (d.groupby(["prev_type", "next_type"], as_index=False)
-                 .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"prev_type": g["event_type"].shift(1)[same].to_numpy(),
+                             "next_type": g.loc[same, "event_type"].to_numpy(),
+                             "n": np.int64(1)})
 
-    parts = bucketed_group_apply(ev, "user_id", trans).to_pandas()
-    out = (parts.groupby(["prev_type", "next_type"], as_index=False)["n"].sum()
-                .astype({"n": "int64"})
-                .sort_values(["prev_type", "next_type"])
-                .reset_index(drop=True))
-    return out
+    return reduce_partials(bucketed_group_apply(ev, "user_id", trans),
+                           ["prev_type", "next_type"])
 
 
 def q_brand_pair_counts(sf_dir: str) -> pd.DataFrame:
@@ -123,18 +118,13 @@ def q_brand_pair_counts(sf_dir: str) -> pd.DataFrame:
         b_idx = (np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
                  + np.repeat(np.arange(len(d)) + 1, cnt))
         brands = d["brand"].to_numpy()
-        p = pd.DataFrame({"brand_a": brands[a_idx], "brand_b": brands[b_idx]})
-        return (p.groupby(["brand_a", "brand_b"], as_index=False)
-                 .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"brand_a": brands[a_idx],
+                             "brand_b": brands[b_idx], "n": np.int64(1)})
 
-    parts_ = bucketed_group_apply(li, "okey", pairs,
-                                  partial_fn=lambda df: df.drop_duplicates())
-    out = (parts_.to_pandas()
-                 .groupby(["brand_a", "brand_b"], as_index=False)["n"].sum()
-                 .astype({"n": "int64"})
-                 .sort_values(["brand_a", "brand_b"])
-                 .reset_index(drop=True))
-    return out
+    return reduce_partials(
+        bucketed_group_apply(li, "okey", pairs,
+                             partial_fn=lambda df: df.drop_duplicates()),
+        ["brand_a", "brand_b"])
 
 
 def q_user_entropy(sf_dir: str) -> pd.DataFrame:
@@ -181,18 +171,14 @@ def q_geomean_per_group(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         lx = _ln(df["o_totalprice"].to_numpy()).astype(np.float64)
-        return (df.assign(lx=lx)
-                  .groupby("o_orderpriority", as_index=False)
-                  .agg(s=("lx", "sum"), n=("lx", "size")))
+        return pd.DataFrame({"o_orderpriority": df["o_orderpriority"],
+                             "s": lx, "n": np.int64(1)})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    a = parts.groupby("o_orderpriority", as_index=False).agg(
-        s=("s", "sum"), n=("n", "sum"))
+    a = reduce_partials(ds, "o_orderpriority", partial)
     g = _exp((a["s"] / a["n"]).to_numpy()).astype(np.float64)
-    return (pd.DataFrame({"o_orderpriority": a["o_orderpriority"],
-                          "geomean_price": round_half_away(g, 4),
-                          "n_orders": a["n"].astype("int64")})
-            .sort_values("o_orderpriority").reset_index(drop=True))
+    return pd.DataFrame({"o_orderpriority": a["o_orderpriority"],
+                         "geomean_price": round_half_away(g, 4),
+                         "n_orders": a["n"]})
 
 
 def q_percent_rank_orders(sf_dir: str) -> pd.DataFrame:
@@ -289,12 +275,9 @@ def q_cumulative_new_users(sf_dir: str) -> pd.DataFrame:
     no engine can window directly, decomposed into two cheap passes."""
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def first_seen(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("user_id", as_index=False).agg(first_ts=("ts", "min"))
-
-    parts = ev.map_batches(first_seen, batch_format="pandas").to_pandas()
-    f = parts.groupby("user_id", as_index=False).agg(
-        first_ts=("first_ts", "min"))
+    f = reduce_partials(ev, "user_id",
+                        lambda df: df.rename(columns={"ts": "first_ts"}),
+                        agg={"first_ts": "min"})
     day = f["first_ts"].dt.floor("D")
     d = (pd.DataFrame({"day": day})
            .groupby("day", as_index=False).size()
@@ -317,12 +300,10 @@ def q_mutual_information(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df["ts"].dt.dayofweek.to_numpy() + 1      # == SQL ISODOW
-        return (pd.DataFrame({"t": df["event_type"].to_numpy(), "d": d})
-                .groupby(["t", "d"], as_index=False)
-                .size().rename(columns={"size": "c"}))
+        return pd.DataFrame({"t": df["event_type"].to_numpy(), "d": d,
+                             "c": np.int64(1)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    c = parts.groupby(["t", "d"], as_index=False)["c"].sum()
+    c = reduce_partials(ev, ["t", "d"], partial)
     cc = c["c"].to_numpy(np.float64)
     n = cc.sum()                                      # integer-exact
     r = c.groupby("t")["c"].transform("sum").to_numpy(np.float64)
@@ -354,20 +335,15 @@ def q_embedding_dim_stats(sf_dir: str) -> pd.DataFrame:
             "mn": m.min(axis=0),
             "mx": m.max(axis=0)})
 
-    parts = emb.map_batches(partial, batch_format="pandas").to_pandas()
-    a = parts.groupby("dim", as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"), ss=("ss", "sum"),
-        mn=("mn", "min"), mx=("mx", "max"))
+    a = reduce_partials(emb, "dim", partial, agg={"mn": "min", "mx": "max"})
     mean = a["s"] / a["n"]
     std = np.sqrt(a["ss"] / a["n"] - mean * mean)
     return pd.DataFrame({
-        "dim": a["dim"].astype("int64"),
-        "n": a["n"].astype("int64"),
+        "dim": a["dim"], "n": a["n"],
         "mean_v": round_half_away(mean.to_numpy(), 4),
         "std_v": round_half_away(std.to_numpy(), 4),
         "min_v": round_half_away(a["mn"].to_numpy(), 4),
-        "max_v": round_half_away(a["mx"].to_numpy(), 4)}).sort_values(
-        "dim").reset_index(drop=True)
+        "max_v": round_half_away(a["mx"].to_numpy(), 4)})
 
 
 def q_ohlc_bars(sf_dir: str) -> pd.DataFrame:
@@ -439,21 +415,15 @@ def q_hopping_window(sf_dir: str, size_s: int = 3600,
         starts = np.cumsum(cnt) - cnt
         k = (np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
              + np.repeat(k_min, cnt))
-        d = pd.DataFrame({"event_type": df["event_type"].to_numpy()[rows],
-                          "win_start": k * hop,
-                          "value": df["value"].to_numpy()[rows]})
-        return (d.groupby(["event_type", "win_start"], as_index=False)
-                 .agg(n=("value", "size"), s=("value", "sum")))
+        return pd.DataFrame({"event_type": df["event_type"].to_numpy()[rows],
+                             "win_start": k * hop, "n": np.int64(1),
+                             "s": df["value"].to_numpy()[rows]})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    a = parts.groupby(["event_type", "win_start"], as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"))
-    return (pd.DataFrame({
+    a = reduce_partials(ev, ["event_type", "win_start"], partial)
+    return pd.DataFrame({
         "event_type": a["event_type"],
-        "win_start": (a["win_start"] // 1_000_000).astype("int64"),
-        "n": a["n"].astype("int64"),
+        "win_start": a["win_start"] // 1_000_000, "n": a["n"],
         "sum_value": round_half_away(a["s"].to_numpy(), 4)})
-        .sort_values(["event_type", "win_start"]).reset_index(drop=True))
 
 
 def q_rolling_avg_rows(sf_dir: str) -> pd.DataFrame:
@@ -515,20 +485,16 @@ def q_brand_pair_lift(sf_dir: str) -> pd.DataFrame:
         b_idx = (np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
                  + np.repeat(np.arange(len(d)) + 1, cnt))
         brands = d["brand"].to_numpy()
-        p = (pd.DataFrame({"brand_a": brands[a_idx],
-                           "brand_b": brands[b_idx]})
-             .groupby(["brand_a", "brand_b"], as_index=False)
-             .size().rename(columns={"size": "n"}))
-        s = (d.groupby("brand", as_index=False).size()
-              .rename(columns={"size": "n"}))
-        singles = pd.DataFrame({"brand_a": s["brand"],
-                                "brand_b": s["brand"], "n": s["n"]})
+        p = pd.DataFrame({"brand_a": brands[a_idx], "brand_b": brands[b_idx],
+                          "n": np.int64(1)})
+        singles = pd.DataFrame({"brand_a": brands, "brand_b": brands,
+                                "n": np.int64(1)})
         sentinel = pd.DataFrame({"brand_a": [""], "brand_b": [""],
                                  "n": [d["okey"].nunique()]})
         return pd.concat([p, singles, sentinel], ignore_index=True)
 
-    parts = bucketed_group_apply(li, "okey", stats).to_pandas()
-    agg = parts.groupby(["brand_a", "brand_b"], as_index=False)["n"].sum()
+    agg = reduce_partials(bucketed_group_apply(li, "okey", stats),
+                          ["brand_a", "brand_b"])
     n_orders = int(agg.loc[(agg["brand_a"] == "")
                            & (agg["brand_b"] == ""), "n"].iloc[0])
     diag = agg["brand_a"] == agg["brand_b"]
@@ -560,18 +526,15 @@ def q_embedding_sparsity_by_label(sf_dir: str,
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         m = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         nz = (np.abs(m) < eps).sum(axis=1).astype(np.int64)
-        return (pd.DataFrame({"label": df["label"].to_numpy(np.int64),
-                              "n_vecs": np.int64(1),
-                              "n_dims": np.int64(m.shape[1]),
-                              "n_near_zero": nz})
-                .groupby("label", as_index=False).sum())
+        return pd.DataFrame({"label": df["label"].to_numpy(np.int64),
+                             "n_vecs": np.int64(1),
+                             "n_dims": np.int64(m.shape[1]),
+                             "n_near_zero": nz})
 
-    out = (emb.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("label", as_index=False).sum())
-    out = out.astype({c: "int64" for c in out.columns})
+    out = reduce_partials(emb, "label", partial)
     out["near_zero_share"] = (out["n_near_zero"].to_numpy(np.float64)
                               / out["n_dims"].to_numpy(np.float64))
-    return out.sort_values("label").reset_index(drop=True)
+    return out
 
 
 def q_knn_label_agreement(sf_dir: str) -> pd.DataFrame:
@@ -604,14 +567,10 @@ def q_knn_label_agreement(sf_dir: str) -> pd.DataFrame:
         nn = sims.argmax(axis=1)
         agree = (labels[nn]
                  == df["label"].to_numpy(np.int64)).astype(np.int64)
-        return (pd.DataFrame({"label": df["label"].to_numpy(np.int64),
-                              "n_vecs": np.int64(1), "n_agree": agree})
-                .groupby("label", as_index=False).sum())
+        return pd.DataFrame({"label": df["label"].to_numpy(np.int64),
+                             "n_vecs": np.int64(1), "n_agree": agree})
 
-    out = (emb.map_batches(nn_agree, batch_format="pandas").to_pandas()
-           .groupby("label", as_index=False).sum())
-    out = out.astype({"label": "int64", "n_vecs": "int64",
-                      "n_agree": "int64"})
+    out = reduce_partials(emb, "label", nn_agree)
     out["agreement"] = (out["n_agree"].to_numpy(np.float64)
                         / out["n_vecs"].to_numpy(np.float64))
-    return out.sort_values("label").reset_index(drop=True)
+    return out

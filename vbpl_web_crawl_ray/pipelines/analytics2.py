@@ -33,7 +33,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 from ..sources.tablecache import base_dataset
 
 _DAY_US = 86_400 * 1_000_000
@@ -68,10 +68,9 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
         d = (pd.DataFrame({"user_id": g["user_id"].to_numpy(), "wk": wk})
              .drop_duplicates())
         cohort = d.groupby("user_id")["wk"].transform("min")
-        d = d.assign(cohort=cohort,
-                     week_offset=(d["wk"] - cohort) // 7)
-        return (d.groupby(["cohort", "week_offset"], as_index=False)
-                 .size().rename(columns={"size": "n_users"}))
+        return pd.DataFrame({"cohort": cohort,
+                             "week_offset": (d["wk"] - cohort) // 7,
+                             "n_users": np.int64(1)})
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # pre-dedup (user, week) per batch: the shuffle moves user-weeks
@@ -81,15 +80,12 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
              .drop_duplicates())
         return d.assign(ts=pd.to_datetime(d.pop("wk") * _DAY_US, unit="us"))
 
-    parts = bucketed_group_apply(ev, "user_id", retention,
-                                 partial_fn=partial).to_pandas()
-    out = (parts.groupby(["cohort", "week_offset"], as_index=False)
-                ["n_users"].sum())
-    return (pd.DataFrame({
+    out = reduce_partials(bucketed_group_apply(ev, "user_id", retention,
+                                               partial_fn=partial),
+                          ["cohort", "week_offset"])
+    return pd.DataFrame({
         "cohort_week": pd.to_datetime(out["cohort"] * _DAY_US, unit="us"),
-        "week_offset": out["week_offset"].astype("int64"),
-        "n_users": out["n_users"].astype("int64")})
-        .sort_values(["cohort_week", "week_offset"]).reset_index(drop=True))
+        "week_offset": out["week_offset"], "n_users": out["n_users"]})
 
 
 def q_longest_streak(sf_dir: str) -> pd.DataFrame:
@@ -223,12 +219,10 @@ def q_chi2_independence(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df["ts"].dt.dayofweek.to_numpy() + 1       # == SQL ISODOW
-        return (pd.DataFrame({"t": df["event_type"].to_numpy(), "d": d})
-                .groupby(["t", "d"], as_index=False)
-                .size().rename(columns={"size": "c"}))
+        return pd.DataFrame({"t": df["event_type"].to_numpy(), "d": d,
+                             "c": np.int64(1)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    c = parts.groupby(["t", "d"], as_index=False)["c"].sum()
+    c = reduce_partials(ev, ["t", "d"], partial)
     cc = c["c"].to_numpy(np.float64)
     n = cc.sum()                                       # integer-exact
     r = c.groupby("t")["c"].transform("sum").to_numpy(np.float64)
@@ -310,12 +304,10 @@ def q_rolling_distinct_users(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
         w = (pd.DataFrame({"user_id": d["user_id"].to_numpy()[rows],
                            "wday": day[rows] + off})
              .drop_duplicates())
-        return (w.groupby("wday", as_index=False)
-                 .size().rename(columns={"size": "n_users"}))
+        return pd.DataFrame({"wday": w["wday"], "n_users": np.int64(1)})
 
-    parts = bucketed_group_apply(ev, "user_id", cover,
-                                 partial_fn=partial).to_pandas()
-    cnt = parts.groupby("wday", as_index=False)["n_users"].sum()
+    cnt = reduce_partials(bucketed_group_apply(ev, "user_id", cover,
+                                               partial_fn=partial), "wday")
 
     # the day domain: only days that actually occur in the data
     def days_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -325,11 +317,10 @@ def q_rolling_distinct_users(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     cal = (_read(sf_dir, "events", ["ts"])
            .map_batches(days_partial, batch_format="pandas")
            .to_pandas()["day"].drop_duplicates())
-    out = cnt[cnt["wday"].isin(set(cal))]
-    return (pd.DataFrame({
+    out = cnt[cnt["wday"].isin(set(cal))].reset_index(drop=True)
+    return pd.DataFrame({
         "day": pd.to_datetime(out["wday"] * _DAY_US, unit="us"),
-        "n_users": out["n_users"].astype("int64")})
-        .sort_values("day").reset_index(drop=True))
+        "n_users": out["n_users"]})
 
 
 def q_last_touch_attribution(sf_dir: str) -> pd.DataFrame:
@@ -392,9 +383,7 @@ def q_embedding_quantization(sf_dir: str) -> pd.DataFrame:
                                               dtype=np.int64),
                              "mx": m.max(axis=0)})
 
-    mx = (emb.map_batches(maxabs, batch_format="pandas").to_pandas()
-             .groupby("dim", as_index=False)["mx"].max()
-             .sort_values("dim"))
+    mx = reduce_partials(emb, "dim", maxabs, agg={"mx": "max"})
     scale = (mx["mx"].to_numpy(np.float64) / 127.0)
 
     def err(df: pd.DataFrame) -> pd.DataFrame:
@@ -404,12 +393,9 @@ def q_embedding_quantization(sf_dir: str) -> pd.DataFrame:
                                               dtype=np.int64),
                              "err": e.max(axis=0)})
 
-    mxe = (emb.map_batches(err, batch_format="pandas").to_pandas()
-              .groupby("dim", as_index=False)["err"].max())
-    return pd.DataFrame({
-        "dim": mx["dim"].astype("int64").to_numpy(),
-        "scale": scale,
-        "max_abs_err": mxe.sort_values("dim")["err"].to_numpy()})
+    mxe = reduce_partials(emb, "dim", err, agg={"err": "max"})
+    return pd.DataFrame({"dim": mx["dim"].to_numpy(), "scale": scale,
+                         "max_abs_err": mxe["err"].to_numpy()})
 
 
 def q_topk_frequent_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -430,16 +416,11 @@ def q_topk_frequent_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
         same = (g["user_id"].eq(g["user_id"].shift(-1))
                 & g["user_id"].eq(g["user_id"].shift(-2))).to_numpy()
         p = pd.Series(e0[same], dtype=object) + ">" + e1[same] + ">" + e2[same]
-        c = p.value_counts()
-        return pd.DataFrame({"path": c.index.to_numpy(),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"path": p, "n": np.int64(1)})
 
-    parts = bucketed_group_apply(ev, "user_id", paths).to_pandas()
-    out = (parts.groupby("path", as_index=False)["n"].sum()
-                .astype({"n": "int64"})
-                .sort_values(["n", "path"], ascending=[False, True])
-                .head(k).reset_index(drop=True))
-    return out
+    out = reduce_partials(bucketed_group_apply(ev, "user_id", paths), "path")
+    return (out.sort_values(["n", "path"], ascending=[False, True])
+               .head(k).reset_index(drop=True))
 
 
 def q_wau_mau_stickiness(sf_dir: str) -> pd.DataFrame:
@@ -471,16 +452,14 @@ def q_wau_mau_stickiness(sf_dir: str) -> pd.DataFrame:
             off = np.tile(np.arange(win, dtype=np.int64), len(d))
             w = (pd.DataFrame({"user_id": d["user_id"].to_numpy()[rows],
                                "wday": day[rows] + off})
-                 .drop_duplicates().assign(tag=tag))
-            frames.append(w)
-        return (pd.concat(frames, ignore_index=True)
-                .groupby(["tag", "wday"], as_index=False)
-                .size().rename(columns={"size": "n"}))
+                 .drop_duplicates().assign(tag=tag, n=np.int64(1)))
+            frames.append(w[["tag", "wday", "n"]])
+        return pd.concat(frames, ignore_index=True)
 
-    parts = bucketed_group_apply(ev, "user_id", cover,
-                                 partial_fn=partial).to_pandas()
-    cnt = (parts.groupby(["tag", "wday"], as_index=False)["n"].sum()
-                .pivot(index="wday", columns="tag", values="n"))
+    cnt = reduce_partials(bucketed_group_apply(ev, "user_id", cover,
+                                               partial_fn=partial),
+                          ["tag", "wday"]).pivot(index="wday", columns="tag",
+                                                 values="n")
 
     def days_partial(df: pd.DataFrame) -> pd.DataFrame:
         t = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
@@ -510,13 +489,10 @@ def q_gap_filled_daily_counts(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         t = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        return (pd.DataFrame({"event_type": df["event_type"].to_numpy(),
-                              "day": t // _DAY_US})
-                .groupby(["event_type", "day"], as_index=False)
-                .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"event_type": df["event_type"].to_numpy(),
+                             "day": t // _DAY_US, "n": np.int64(1)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["event_type", "day"], as_index=False)["n"].sum()
+    cnt = reduce_partials(ev, ["event_type", "day"], partial)
     days = np.arange(cnt["day"].min(), cnt["day"].max() + 1)
     types = np.sort(cnt["event_type"].unique())
     cal = pd.DataFrame({
@@ -544,15 +520,12 @@ def q_daily_series_correlation(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["event_type"].isin(("click", "purchase"))]
         t = d["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        return (pd.DataFrame({"event_type": d["event_type"].to_numpy(),
-                              "day": t // _DAY_US})
-                .groupby(["event_type", "day"], as_index=False)
-                .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"event_type": d["event_type"].to_numpy(),
+                             "day": t // _DAY_US, "n": np.int64(1)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = (parts.groupby(["event_type", "day"], as_index=False)["n"].sum()
-                .pivot(index="day", columns="event_type", values="n")
-                .fillna(0).astype(np.int64))
+    cnt = (reduce_partials(ev, ["event_type", "day"], partial)
+           .pivot(index="day", columns="event_type", values="n")
+           .fillna(0).astype(np.int64))
     x = cnt.get("click", pd.Series(dtype=np.int64)).to_numpy(np.int64)
     y = cnt.get("purchase", pd.Series(dtype=np.int64)).to_numpy(np.int64)
     n = np.int64(len(x))
@@ -665,22 +638,12 @@ def q_revenue_contribution(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (df.assign(cents=cents)
-                  .groupby(["o_orderpriority", "o_orderstatus"],
-                           as_index=False)["cents"].sum())
+        return df[["o_orderpriority", "o_orderstatus"]].assign(cents=cents)
 
-    parts = o.map_batches(partial, batch_format="pandas").to_pandas()
-    c = parts.groupby(["o_orderpriority", "o_orderstatus"],
-                      as_index=False)["cents"].sum()
+    c = reduce_partials(o, ["o_orderpriority", "o_orderstatus"], partial)
     tot = c.groupby("o_orderpriority")["cents"].transform("sum")
-    return (pd.DataFrame({
-        "o_orderpriority": c["o_orderpriority"],
-        "o_orderstatus": c["o_orderstatus"],
-        "cents": c["cents"].astype("int64"),
-        "share": c["cents"].to_numpy(np.float64)
-                 / tot.to_numpy(np.float64)})
-        .sort_values(["o_orderpriority", "o_orderstatus"])
-        .reset_index(drop=True))
+    c["share"] = c["cents"].to_numpy(np.float64) / tot.to_numpy(np.float64)
+    return c
 
 
 def q_bounce_rate(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
@@ -752,18 +715,15 @@ def q_weighted_avg_price(sf_dir: str) -> pd.DataFrame:
         cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
             .astype(np.int64)
         q = df["l_quantity"].to_numpy(np.int64)
-        return (pd.DataFrame({"l_returnflag": df["l_returnflag"],
-                              "wc": cents * q, "w": q})
-                .groupby("l_returnflag", as_index=False).sum())
+        return pd.DataFrame({"l_returnflag": df["l_returnflag"],
+                             "wc": cents * q, "w": q})
 
-    parts = li.map_batches(partial, batch_format="pandas").to_pandas()
-    a = parts.groupby("l_returnflag", as_index=False).sum()
-    return (pd.DataFrame({
+    a = reduce_partials(li, "l_returnflag", partial)
+    return pd.DataFrame({
         "l_returnflag": a["l_returnflag"],
         "w_avg_price": (a["wc"].to_numpy(np.float64) / 100.0)
                        / a["w"].to_numpy(np.float64),
-        "total_qty": a["w"].astype("int64")})
-        .sort_values("l_returnflag").reset_index(drop=True))
+        "total_qty": a["w"]})
 
 
 def q_label_centroids(sf_dir: str) -> pd.DataFrame:
@@ -792,15 +752,10 @@ def q_label_centroids(sf_dir: str) -> pd.DataFrame:
                 "s": sub.sum(axis=0)}))
         return pd.concat(frames, ignore_index=True)
 
-    parts = emb.map_batches(partial, batch_format="pandas").to_pandas()
-    a = parts.groupby(["label", "dim"], as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"))
-    return (pd.DataFrame({
-        "label": a["label"].astype("int64"),
-        "dim": a["dim"].astype("int64"),
-        "n": a["n"].astype("int64"),
+    a = reduce_partials(emb, ["label", "dim"], partial)
+    return pd.DataFrame({
+        "label": a["label"], "dim": a["dim"], "n": a["n"],
         "mean_v": round_half_away((a["s"] / a["n"]).to_numpy(), 4)})
-        .sort_values(["label", "dim"]).reset_index(drop=True))
 
 
 def q_outlier_counts(sf_dir: str) -> pd.DataFrame:
@@ -818,12 +773,10 @@ def q_outlier_counts(sf_dir: str) -> pd.DataFrame:
 
     def moments(df: pd.DataFrame) -> pd.DataFrame:
         c = np.round(df["value"].to_numpy() * 100.0).astype(np.int64)
-        return (pd.DataFrame({"event_type": df["event_type"].to_numpy(),
-                              "n": np.int64(1), "s": c, "ss": c * c})
-                .groupby("event_type", as_index=False).sum())
+        return pd.DataFrame({"event_type": df["event_type"].to_numpy(),
+                             "n": np.int64(1), "s": c, "ss": c * c})
 
-    m = (ev.map_batches(moments, batch_format="pandas").to_pandas()
-           .groupby("event_type", as_index=False).sum())
+    m = reduce_partials(ev, "event_type", moments)
     mref = ray.put({r.event_type: (int(r.n), int(r.s), int(r.ss))
                     for r in m.itertuples()})
 
@@ -841,10 +794,7 @@ def q_outlier_counts(sf_dir: str) -> pd.DataFrame:
                 "n_outliers": [np.int64(int((lhs * lhs > rhs).sum()))]}))
         return pd.concat(out, ignore_index=True)
 
-    parts = ev.map_batches(gate, batch_format="pandas").to_pandas()
-    out = parts.groupby("event_type", as_index=False)["n_outliers"].sum()
-    return (out.astype({"n_outliers": "int64"})
-               .sort_values("event_type").reset_index(drop=True))
+    return reduce_partials(ev, "event_type", gate)
 
 
 def q_centroid_assignment(sf_dir: str) -> pd.DataFrame:
@@ -869,17 +819,11 @@ def q_centroid_assignment(sf_dir: str) -> pd.DataFrame:
         x = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         score = x @ cm.T - half_c2    # argmax == nearest
         a = labels[np.argmax(score, axis=1)]
-        return (pd.DataFrame({"label": df["label"].to_numpy(),
-                              "assigned": a})
-                .groupby(["label", "assigned"], as_index=False)
-                .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"label": df["label"].to_numpy(np.int64),
+                             "assigned": a, "n": np.int64(1)})
 
-    parts = (_read(sf_dir, "embeddings", ["label", "embedding"])
-             .map_batches(assign, batch_format="pandas").to_pandas())
-    out = parts.groupby(["label", "assigned"], as_index=False)["n"].sum()
-    return (out.astype({"label": "int64", "assigned": "int64",
-                        "n": "int64"})
-               .sort_values(["label", "assigned"]).reset_index(drop=True))
+    return reduce_partials(_read(sf_dir, "embeddings", ["label", "embedding"]),
+                           ["label", "assigned"], assign)
 
 
 def q_activity_gini(sf_dir: str) -> pd.DataFrame:
@@ -892,14 +836,8 @@ def q_activity_gini(sf_dir: str) -> pd.DataFrame:
     count-of-counts histogram is the stated selection-scale path)."""
     ev = _read(sf_dir, "events", ["user_id"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        c = df["user_id"].value_counts()
-        return pd.DataFrame({"user_id": c.index.to_numpy(),
-                             "n": c.to_numpy(np.int64)})
-
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    c = (parts.groupby("user_id", as_index=False)["n"].sum()
-              .sort_values(["n", "user_id"], kind="mergesort"))
+    c = (reduce_partials(ev, "user_id", lambda df: df.assign(n=np.int64(1)))
+         .sort_values(["n", "user_id"], kind="mergesort"))
     counts = c["n"].to_numpy(np.int64)
     n = np.int64(len(counts))
     i = np.arange(1, n + 1, dtype=np.int64)
@@ -918,16 +856,11 @@ def q_hour_dow_heatmap(sf_dir: str) -> pd.DataFrame:
     ev = _read(sf_dir, "events", ["ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        dow = df["ts"].dt.dayofweek.to_numpy() + 1    # == SQL ISODOW
-        hr = df["ts"].dt.hour.to_numpy()
-        return (pd.DataFrame({"dow": dow, "hour": hr})
-                .groupby(["dow", "hour"], as_index=False)
-                .size().rename(columns={"size": "n"}))
+        dow = df["ts"].dt.dayofweek.to_numpy(np.int64) + 1  # == SQL ISODOW
+        hr = df["ts"].dt.hour.to_numpy(np.int64)
+        return pd.DataFrame({"dow": dow, "hour": hr, "n": np.int64(1)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby(["dow", "hour"], as_index=False)["n"].sum()
-    return (out.astype({"dow": "int64", "hour": "int64", "n": "int64"})
-               .sort_values(["dow", "hour"]).reset_index(drop=True))
+    return reduce_partials(ev, ["dow", "hour"], partial)
 
 
 def q_type_deciles(sf_dir: str) -> pd.DataFrame:
@@ -983,17 +916,12 @@ def q_session_entry_exit(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
                           "event_type": g["event_type"].to_numpy()})
         f = d.groupby("sid")["event_type"].first()
         z = d.groupby("sid")["event_type"].last()
-        return (pd.DataFrame({"entry_type": f.to_numpy(),
-                              "exit_type": z.to_numpy()})
-                .groupby(["entry_type", "exit_type"], as_index=False)
-                .size().rename(columns={"size": "n_sessions"}))
+        return pd.DataFrame({"entry_type": f.to_numpy(),
+                             "exit_type": z.to_numpy(),
+                             "n_sessions": np.int64(1)})
 
-    parts = bucketed_group_apply(ev, "user_id", pairs).to_pandas()
-    out = (parts.groupby(["entry_type", "exit_type"], as_index=False)
-                ["n_sessions"].sum())
-    return (out.astype({"n_sessions": "int64"})
-               .sort_values(["entry_type", "exit_type"])
-               .reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(ev, "user_id", pairs),
+                           ["entry_type", "exit_type"])
 
 
 def q_user_activity_span_stats(sf_dir: str) -> pd.DataFrame:
@@ -1003,8 +931,6 @@ def q_user_activity_span_stats(sf_dir: str) -> pd.DataFrame:
     user-hash buckets (exact int64 µs), the span is one integer
     floor-division chain (µs -> days -> weeks), and only (span_weeks,
     n_users) cells leave the bucket."""
-    from ..stages.shuffle import bucketed_group_apply
-
     ev = base_dataset(sf_dir, "events", columns=["user_id", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1019,15 +945,11 @@ def q_user_activity_span_stats(sf_dir: str) -> pd.DataFrame:
             mn=("mn", "min"), mx=("mx", "max"))
         weeks = ((a["mx"].to_numpy(np.int64) - a["mn"].to_numpy(np.int64))
                  // 86_400_000_000) // 7
-        return (pd.DataFrame({"span_weeks": weeks, "n_users": np.int64(1)})
-                .groupby("span_weeks", as_index=False).sum())
+        return pd.DataFrame({"span_weeks": weeks, "n_users": np.int64(1)})
 
-    out = (bucketed_group_apply(
-        ev.map_batches(partial, batch_format="pandas"),
-        "user_id", spans).to_pandas()
-        .groupby("span_weeks", as_index=False).sum())
-    return (out.astype({"span_weeks": "int64", "n_users": "int64"})
-               .sort_values("span_weeks").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(
+        ev.map_batches(partial, batch_format="pandas"), "user_id", spans),
+        "span_weeks")
 
 
 def q_event_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
@@ -1040,8 +962,6 @@ def q_event_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
     contains both bits — pair counting never touches users again. All
     integers; the oracle states the same pair semantics via a distinct
     self-join."""
-    from ..stages.shuffle import bucketed_group_apply
-
     ev = base_dataset(sf_dir, "events", columns=["user_id", "event_type"])
     types = sorted(ev.map_batches(
         lambda df: df[["event_type"]].drop_duplicates(),
@@ -1062,13 +982,12 @@ def q_event_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
         u = g.groupby("user_id", as_index=False).agg(
             mask=("mask", lambda v: int(np.bitwise_or.reduce(
                 v.to_numpy(np.int64)))))
-        return (u.groupby("mask", as_index=False).size()
-                 .rename(columns={"size": "n_users"}))
+        return pd.DataFrame({"mask": u["mask"].to_numpy(np.int64),
+                             "n_users": np.int64(1)})
 
-    hist = (bucketed_group_apply(
-        ev.map_batches(partial, batch_format="pandas"),
-        "user_id", mask_hist).to_pandas()
-        .groupby("mask", as_index=False).sum())
+    hist = reduce_partials(bucketed_group_apply(
+        ev.map_batches(partial, batch_format="pandas"), "user_id", mask_hist),
+        "mask")
     masks = hist["mask"].to_numpy(np.int64)
     counts = hist["n_users"].to_numpy(np.int64)
     rows = []
@@ -1132,12 +1051,7 @@ def q_user_load_fairness(sf_dir: str) -> pd.DataFrame:
     The oracle states the identical expression."""
     ev = base_dataset(sf_dir, "events", columns=["user_id"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("user_id", as_index=False).size()
-                  .rename(columns={"size": "c"}))
-
-    d = (ev.map_batches(partial, batch_format="pandas").to_pandas()
-         .groupby("user_id", as_index=False).sum())
+    d = reduce_partials(ev, "user_id", lambda df: df.assign(c=np.int64(1)))
     c = d["c"].to_numpy(np.int64)
     n = np.int64(len(c))
     s = np.int64(c.sum())
@@ -1161,14 +1075,10 @@ def q_event_burstiness(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         minute = df["ts"].astype("int64") // 60_000_000
-        g = (pd.DataFrame({"event_type": df["event_type"].to_numpy(),
-                           "minute": minute})
-             .groupby(["event_type", "minute"], as_index=False).size())
-        return g.rename(columns={"size": "c"})
+        return pd.DataFrame({"event_type": df["event_type"].to_numpy(),
+                             "minute": minute, "c": np.int64(1)})
 
-    per_min = (ev.map_batches(partial, batch_format="pandas").to_pandas()
-               .groupby(["event_type", "minute"], as_index=False)["c"]
-               .sum())
+    per_min = reduce_partials(ev, ["event_type", "minute"], partial)
     agg = per_min.groupby("event_type", as_index=False).agg(
         mn=("minute", "min"), mx=("minute", "max"),
         s=("c", "sum"), ss_obs=("c", lambda v: int(

@@ -15,7 +15,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 from ..stages.textstats import EN_STOPWORDS
 from ..sources.tablecache import base_dataset
 
@@ -58,17 +58,11 @@ def q_split_counts(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         m = df["doc_id"].to_numpy() % 10
         split = np.where(m < 8, "train", np.where(m < 9, "val", "test"))
-        g = (df.assign(split=split)
-               .groupby(["source", "split"], as_index=False)
-               .agg(n=("doc_id", "size")))
-        return g
+        return pd.DataFrame({"source": df["source"].to_numpy(),
+                             "split": split, "n": np.int64(1)})
 
-    parts = (_docs(sf_dir, ("doc_id", "source"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    out = (parts.groupby(["source", "split"], as_index=False)["n"].sum()
-                .astype({"n": "int64"})
-                .sort_values(["source", "split"]).reset_index(drop=True))
-    return out
+    return reduce_partials(_docs(sf_dir, ("doc_id", "source")),
+                           ["source", "split"], partial)
 
 
 def q_bigram_topk(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -76,8 +70,6 @@ def q_bigram_topk(sf_dir: str, k: int = 20) -> pd.DataFrame:
     LM work). Per-batch Counter combiner -> bucketed sum -> per-bucket
     top-k -> tiny driver merge of num_buckets x k rows. Ties break on the
     bigram string so the result is deterministic."""
-    from ..stages.shuffle import bucketed_group_apply
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         counts: dict[str, int] = {}
         for t in df["text"]:
@@ -110,8 +102,6 @@ def q_tfidf_topk(sf_dir: str, k: int = 3) -> pd.DataFrame:
     the tf rows meet their df via the native hash join; ranking happens
     per-doc inside the bucketed shuffle. Ties break on the ROUNDED score
     then the term, so the ranking is reproducible across engines."""
-    from ..stages.shuffle import bucketed_group_apply
-
     docs = _docs(sf_dir, ("doc_id", "text"))
     n_docs = docs.count()
 
@@ -150,6 +140,14 @@ def q_tfidf_topk(sf_dir: str, k: int = 3) -> pd.DataFrame:
                .reset_index(drop=True))
 
 
+def _revenue(df: pd.DataFrame) -> pd.DataFrame:
+    """(flag, status, revenue, n) rows: the rollup and cube cells."""
+    return pd.DataFrame({
+        "l_returnflag": df["l_returnflag"], "l_linestatus": df["l_linestatus"],
+        "revenue": df["l_extendedprice"] * (1 - df["l_discount"]),
+        "n": np.int64(1)})
+
+
 def q_rollup_revenue(sf_dir: str) -> pd.DataFrame:
     """GROUP BY ROLLUP (l_returnflag, l_linestatus) over lineitem revenue:
     ONE partial-aggregation pass over the fact table feeds all three
@@ -157,14 +155,7 @@ def q_rollup_revenue(sf_dir: str) -> pd.DataFrame:
     never the input."""
     li = base_dataset(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return (df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-                  .agg(revenue=("revenue", "sum"), n=("revenue", "size")))
-
-    parts = li.map_batches(partial, batch_format="pandas").to_pandas()
-    detail = (parts.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-                   .agg(revenue=("revenue", "sum"), n=("n", "sum")))
+    detail = reduce_partials(li, ["l_returnflag", "l_linestatus"], _revenue)
     lvl1 = (detail.groupby("l_returnflag", as_index=False)
                   .agg(revenue=("revenue", "sum"), n=("n", "sum")))
     lvl1["l_linestatus"] = None
@@ -183,14 +174,7 @@ def q_cube_revenue(sf_dir: str) -> pd.DataFrame:
     the (linestatus) margin, re-aggregated from the tiny detail frame."""
     li = base_dataset(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return (df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-                  .agg(revenue=("revenue", "sum"), n=("revenue", "size")))
-
-    parts = li.map_batches(partial, batch_format="pandas").to_pandas()
-    detail = (parts.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-                   .agg(revenue=("revenue", "sum"), n=("n", "sum")))
+    detail = reduce_partials(li, ["l_returnflag", "l_linestatus"], _revenue)
     by_flag = (detail.groupby("l_returnflag", as_index=False)
                      .agg(revenue=("revenue", "sum"), n=("n", "sum")))
     by_flag["l_linestatus"] = None
@@ -214,7 +198,6 @@ def q_quality_filter_counts(sf_dir: str, min_tokens: int = 20,
     (content_hash, doc_id); the quality gate is a vectorized per-batch
     filter; counting is a partial-aggregate."""
     from ..functions.hashing import hash64
-    from ..stages.shuffle import bucketed_group_apply
 
     stop = EN_STOPWORDS
 
@@ -240,13 +223,8 @@ def q_quality_filter_counts(sf_dir: str, min_tokens: int = 20,
         _docs(sf_dir).map_batches(admit, batch_format="pandas"),
         "content_hash", first_per_text)
 
-    parts = survivors.map_batches(
-        lambda df: df.groupby("source", as_index=False)
-                     .agg(n=("doc_id", "size")),
-        batch_format="pandas").to_pandas()
-    return (parts.groupby("source", as_index=False)["n"].sum()
-                 .astype({"n": "int64"})
-                 .sort_values("source").reset_index(drop=True))
+    return reduce_partials(survivors, "source", lambda df: pd.DataFrame(
+        {"source": df["source"], "n": np.int64(1)}))
 
 
 def _bigram_counts(df: pd.DataFrame) -> pd.Series:
@@ -365,14 +343,10 @@ def q_bigram_lm_scores(sf_dir: str) -> pd.DataFrame:
         if p is None:
             return pd.DataFrame({"bigram": pd.Series(dtype=object),
                                  "n": pd.Series(dtype=np.int64)})
-        _, big = p
-        c = big.value_counts()
-        return pd.DataFrame({"bigram": c.index.to_numpy(),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"bigram": p[1], "n": np.int64(1)})
 
-    parts = (_docs(sf_dir, ("doc_id", "text"))
-             .map_batches(train, batch_format="pandas").to_pandas())
-    model = parts.groupby("bigram")["n"].sum()
+    model = reduce_partials(_docs(sf_dir, ("doc_id", "text")), "bigram",
+                            train).set_index("bigram")["n"]
     ref = ray.put(model.to_dict())
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
@@ -402,8 +376,6 @@ def q_vocab_coverage(sf_dir: str, pct: int = 95) -> pd.DataFrame:
     vocabulary too large even for that the close becomes a distributed
     sort + running-total scan). The coverage test stays in integers
     (100*cum >= pct*total) — no float crosses anywhere."""
-    from ..stages.shuffle import bucketed_group_apply
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         c = df["text"].str.split(" ").explode().value_counts()
         return pd.DataFrame({"w": c.index.to_numpy(),
@@ -461,14 +433,10 @@ def q_lm_logprob_scores(sf_dir: str) -> pd.DataFrame:
         if p is None:
             return pd.DataFrame({"bigram": pd.Series(dtype=object),
                                  "n": pd.Series(dtype=np.int64)})
-        _, big = p
-        c = big.value_counts()
-        return pd.DataFrame({"bigram": c.index.to_numpy(),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"bigram": p[1], "n": np.int64(1)})
 
-    parts = (_docs(sf_dir, ("doc_id", "text"))
-             .map_batches(train, batch_format="pandas").to_pandas())
-    model = parts.groupby("bigram")["n"].sum()
+    model = reduce_partials(_docs(sf_dir, ("doc_id", "text")), "bigram",
+                            train).set_index("bigram")["n"]
     first = model.index.str.split(" ").str[0]
     marginal = model.groupby(first.to_numpy()).sum()   # c(a, ·)
     mref = ray.put((model.to_dict(), marginal.to_dict()))
@@ -518,13 +486,10 @@ def q_source_kl_divergence(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         e = df[["source", "text"]].copy()
         e["w"] = e.pop("text").str.split(" ")
-        e = e.explode("w")
-        return (e.groupby(["source", "w"], as_index=False)
-                 .size().rename(columns={"size": "c"}))
+        return e.explode("w").assign(c=np.int64(1))
 
-    parts = (_docs(sf_dir, ("source", "text"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    c = parts.groupby(["source", "w"], as_index=False)["c"].sum()
+    c = reduce_partials(_docs(sf_dir, ("source", "text")), ["source", "w"],
+                        partial)
     ns = c.groupby("source")["c"].transform("sum").to_numpy(np.float64)
     cw = c.groupby("w")["c"].transform("sum").to_numpy(np.float64)
     n = np.float64(c["c"].sum())
@@ -567,22 +532,18 @@ def q_token_pmi_topk(sf_dir: str, k: int = 20) -> pd.DataFrame:
         b_idx = (np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
                  + np.repeat(np.arange(len(e)) + 1, cnt))
         words = e["w"].to_numpy()
-        p = pd.DataFrame({"wa": words[a_idx], "wb": words[b_idx]})
-        return (p.groupby(["wa", "wb"], as_index=False)
-                 .size().rename(columns={"size": "n"}))
+        return pd.DataFrame({"wa": words[a_idx], "wb": words[b_idx],
+                             "n": np.int64(1)})
 
     def df_partial(df: pd.DataFrame) -> pd.DataFrame:
         e = df[["doc_id", "text"]].copy()
         e["w"] = e.pop("text").str.split(" ")
         u = e.explode("w").drop_duplicates(["doc_id", "w"])
-        return (u.groupby("w", as_index=False).size()
-                 .rename(columns={"size": "df"}))
+        return pd.DataFrame({"w": u["w"], "df": np.int64(1)})
 
     docs = _docs(sf_dir, ("doc_id", "text"))
-    pairs = (docs.map_batches(pair_partial, batch_format="pandas")
-             .to_pandas().groupby(["wa", "wb"], as_index=False)["n"].sum())
-    wdf = (docs.map_batches(df_partial, batch_format="pandas")
-           .to_pandas().groupby("w")["df"].sum())
+    pairs = reduce_partials(docs, ["wa", "wb"], pair_partial)
+    wdf = reduce_partials(docs, "w", df_partial).set_index("w")["df"]
     n_docs = np.int64(docs.count())
 
     cab = pairs["n"].to_numpy(np.int64)
@@ -617,9 +578,7 @@ def q_char_entropy(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"ch": [chr(c) for c in nz],
                              "n": cnt[nz].astype(np.int64)})
 
-    parts = (_docs(sf_dir, ("doc_id", "text"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    c = parts.groupby("ch", as_index=False)["n"].sum()
+    c = reduce_partials(_docs(sf_dir, ("doc_id", "text")), "ch", partial)
     cc = c["n"].to_numpy(np.float64)
     n = cc.sum()
     terms = (cc / n) * np.fromiter(
@@ -645,13 +604,10 @@ def q_source_similarity(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         e = df[["source", "text"]].copy()
         e["w"] = e.pop("text").str.split(" ")
-        e = e.explode("w")
-        return (e.groupby(["source", "w"], as_index=False)
-                 .size().rename(columns={"size": "c"}))
+        return e.explode("w").assign(c=np.int64(1))
 
-    parts = (_docs(sf_dir, ("source", "text"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    c = parts.groupby(["source", "w"], as_index=False)["c"].sum()
+    c = reduce_partials(_docs(sf_dir, ("source", "text")), ["source", "w"],
+                        partial)
     piv = (c.pivot(index="w", columns="source", values="c")
             .fillna(0).astype(np.int64))
     totals = piv.sum(axis=0).to_numpy(np.float64)
@@ -698,11 +654,10 @@ def q_doc_novelty(sf_dir: str) -> pd.DataFrame:
         if t is None:
             return pd.DataFrame({"bigram": pd.Series(dtype=object),
                                  "n": pd.Series(dtype=np.int64)})
-        return t.groupby("bigram", as_index=False)["n"].sum()
+        return t[["bigram", "n"]]
 
     docs = _docs(sf_dir, ("doc_id", "text"))
-    model = (docs.map_batches(train, batch_format="pandas").to_pandas()
-                 .groupby("bigram")["n"].sum())
+    model = reduce_partials(docs, "bigram", train).set_index("bigram")["n"]
     ref = ray.put(model.to_dict())
 
     def novelty(df: pd.DataFrame) -> pd.DataFrame:
@@ -757,13 +712,10 @@ def q_hapax_rate(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         e = df[["source", "text"]].copy()
         e["w"] = e.pop("text").str.split(" ")
-        e = e.explode("w")
-        return (e.groupby(["source", "w"], as_index=False)
-                 .size().rename(columns={"size": "c"}))
+        return e.explode("w").assign(c=np.int64(1))
 
-    parts = (_docs(sf_dir, ("source", "text"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    c = parts.groupby(["source", "w"], as_index=False)["c"].sum()
+    c = reduce_partials(_docs(sf_dir, ("source", "text")), ["source", "w"],
+                        partial)
     out = c.groupby("source", as_index=False).agg(
         n_types=("c", "size"), n_hapax=("c", lambda s: int((s == 1).sum())))
     return (pd.DataFrame({
@@ -791,13 +743,10 @@ def q_zipf_slope(sf_dir: str, k: int = 100) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         e = df[["source", "text"]].copy()
         e["w"] = e.pop("text").str.split(" ")
-        e = e.explode("w")
-        return (e.groupby(["source", "w"], as_index=False)
-                 .size().rename(columns={"size": "c"}))
+        return e.explode("w").assign(c=np.int64(1))
 
-    parts = (_docs(sf_dir, ("source", "text"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    c = parts.groupby(["source", "w"], as_index=False)["c"].sum()
+    c = reduce_partials(_docs(sf_dir, ("source", "text")), ["source", "w"],
+                        partial)
     c = c.sort_values(["source", "c", "w"],
                       ascending=[True, False, True], kind="mergesort")
     c["rk"] = c.groupby("source", sort=False).cumcount() + 1
@@ -831,8 +780,6 @@ def q_vocab_growth_curve(sf_dir: str, block_docs: int = 25) -> pd.DataFrame:
     checkpoint is an ordinary integer partial from the same scan. No
     global sort, no driver token set — only (token-hash-bucketed
     (token, min_doc) pairs and tiny integer cells move."""
-    from ..stages.shuffle import bucketed_group_apply
-
     docs = base_dataset(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tok_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -845,28 +792,21 @@ def q_vocab_growth_curve(sf_dir: str, block_docs: int = 25) -> pd.DataFrame:
 
     def first_seen(g: pd.DataFrame) -> pd.DataFrame:
         f = g.groupby("tok", as_index=False)["doc_id"].min()
-        return (pd.DataFrame({"checkpoint": f["doc_id"].to_numpy(np.int64)
-                              // block_docs,
-                              "n_new_types": np.int64(1)})
-                .groupby("checkpoint", as_index=False).sum())
+        return pd.DataFrame({"checkpoint": f["doc_id"].to_numpy(np.int64)
+                             // block_docs, "n_new_types": np.int64(1)})
 
-    births = (bucketed_group_apply(
+    births = reduce_partials(bucketed_group_apply(
         docs.map_batches(tok_partial, batch_format="pandas"),
-        "tok", first_seen).to_pandas()
-        .groupby("checkpoint", as_index=False).sum())
+        "tok", first_seen), "checkpoint")
 
     def occ_partial(df: pd.DataFrame) -> pd.DataFrame:
         n = df["text"].str.split(" ").str.len().to_numpy(np.int64)
-        return (pd.DataFrame({"checkpoint": df["doc_id"].to_numpy(np.int64)
-                              // block_docs, "n_tokens": n})
-                .groupby("checkpoint", as_index=False).sum())
+        return pd.DataFrame({"checkpoint": df["doc_id"].to_numpy(np.int64)
+                             // block_docs, "n_tokens": n})
 
-    occ = (docs.map_batches(occ_partial, batch_format="pandas").to_pandas()
-           .groupby("checkpoint", as_index=False).sum())
-    out = occ.merge(births, on="checkpoint", how="left").fillna(0)
-    out = (out.astype({"checkpoint": "int64", "n_tokens": "int64",
-                       "n_new_types": "int64"})
-              .sort_values("checkpoint").reset_index(drop=True))
+    occ = reduce_partials(docs, "checkpoint", occ_partial)
+    out = (occ.merge(births, on="checkpoint", how="left").fillna(0)
+              .astype({"n_new_types": "int64"}))
     out["cum_types"] = out["n_new_types"].cumsum().astype("int64")
     return out
 
@@ -884,21 +824,16 @@ def q_stopword_ratio_by_source(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.split(" ")
         n = toks.str.len().to_numpy(np.int64)
-        flat = pd.DataFrame({
+        return pd.DataFrame({
             "source": np.repeat(df["source"].to_numpy(), n),
-            "stop": np.isin(np.concatenate(toks.to_numpy()),
-                            list(stops)).astype(np.int64)})
-        return (flat.assign(n_tokens=np.int64(1))
-                    .groupby("source", as_index=False)
-                    .agg(n_stop=("stop", "sum"),
-                         n_tokens=("n_tokens", "sum")))
+            "n_stop": np.isin(np.concatenate(toks.to_numpy()),
+                              list(stops)).astype(np.int64),
+            "n_tokens": np.int64(1)})
 
-    out = (docs.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("source", as_index=False).sum())
-    out = out.astype({"n_stop": "int64", "n_tokens": "int64"})
+    out = reduce_partials(docs, "source", partial)
     out["stop_share"] = (out["n_stop"].to_numpy(np.float64)
                          / out["n_tokens"].to_numpy(np.float64))
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 def q_compression_ratio_by_source(sf_dir: str) -> pd.DataFrame:
@@ -919,16 +854,13 @@ def q_compression_ratio_by_source(sf_dir: str) -> pd.DataFrame:
         comp = np.fromiter(
             (len(zlib.compress(t.encode(), 6)) for t in df["text"]),
             dtype=np.int64, count=len(df))
-        return (pd.DataFrame({"source": df["source"].to_numpy(),
-                              "raw_bytes": raw, "comp_bytes": comp})
-                .groupby("source", as_index=False).sum())
+        return pd.DataFrame({"source": df["source"].to_numpy(),
+                             "raw_bytes": raw, "comp_bytes": comp})
 
-    out = (docs.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("source", as_index=False).sum())
-    out = out.astype({"raw_bytes": "int64", "comp_bytes": "int64"})
+    out = reduce_partials(docs, "source", partial)
     out["ratio"] = (out["comp_bytes"].to_numpy(np.float64)
                     / out["raw_bytes"].to_numpy(np.float64))
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 def q_token_fertility_by_source(sf_dir: str) -> pd.DataFrame:
@@ -946,16 +878,13 @@ def q_token_fertility_by_source(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         ws = df["text"].str.split(" ").str.len().astype("int64")
         bpe = df["text"].str.count(_BPE_TOKEN).astype("int64")
-        return (pd.DataFrame({"source": df["source"].to_numpy(),
-                              "n_ws_tokens": ws, "n_regex_tokens": bpe})
-                .groupby("source", as_index=False).sum())
+        return pd.DataFrame({"source": df["source"].to_numpy(),
+                             "n_ws_tokens": ws, "n_regex_tokens": bpe})
 
-    out = (docs.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("source", as_index=False).sum())
-    out = out.astype({"n_ws_tokens": "int64", "n_regex_tokens": "int64"})
+    out = reduce_partials(docs, "source", partial)
     out["fertility"] = (out["n_regex_tokens"].to_numpy(np.float64)
                         / out["n_ws_tokens"].to_numpy(np.float64))
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 def q_commonest_bigram_per_source(sf_dir: str) -> pd.DataFrame:
@@ -966,8 +895,6 @@ def q_commonest_bigram_per_source(sf_dir: str) -> pd.DataFrame:
     the stated total order (count desc, bigram asc) — the argmax is
     mergeable once counts are final, so the big (source, bigram) table
     never gathers. The oracle states the same window order."""
-    from ..stages.shuffle import bucketed_group_apply
-
     docs = base_dataset(sf_dir, "documents", columns=["source", "text"])
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:

@@ -32,7 +32,7 @@ import ray.data as rd
 from ..functions.hashing import md5_hex_prefix
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import broadcast_get
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 
 # Bernoulli keep-threshold: first 8 md5 hex chars < this <=> u < 0.1 for
 # the uniform u = int(hex8,16)/2^32.  Hex strings of equal length compare
@@ -211,16 +211,11 @@ def q_mixture_weights(sf_dir: str) -> pd.DataFrame:
     """Per-source uniform-target mixture weights: weight = max_count /
     count, the factor a sampler would apply to flatten the source
     distribution.  Partial counts per batch, tiny groupby merge."""
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(
-            n=("doc_id", "size"))
-
-    parts = (_docs(sf_dir, ("doc_id", "source"))
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    out = (parts.groupby("source", as_index=False)["n"].sum()
-                .astype({"n": "int64"}))
+    out = reduce_partials(
+        _docs(sf_dir, ("doc_id", "source")), "source",
+        lambda df: pd.DataFrame({"source": df["source"], "n": np.int64(1)}))
     out["weight"] = round_half_away(out["n"].max() / out["n"].to_numpy(), 6)
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 def q_resample_plan(sf_dir: str) -> pd.DataFrame:
@@ -232,10 +227,9 @@ def q_resample_plan(sf_dir: str) -> pd.DataFrame:
     the identical plan with no RNG state, and re-runs agree row-for-row.
     Two passes: tiny per-lang counts, then one embarrassingly-parallel
     map with the weight table broadcast."""
-    counts = (_docs(sf_dir, ("doc_id", "lang"))
-              .map_batches(lambda df: df.groupby("lang", as_index=False)
-                           .agg(n=("doc_id", "size")), batch_format="pandas")
-              .to_pandas().groupby("lang", as_index=False)["n"].sum())
+    counts = reduce_partials(
+        _docs(sf_dir, ("doc_id", "lang")), "lang",
+        lambda df: pd.DataFrame({"lang": df["lang"], "n": np.int64(1)}))
     weights = dict(zip(counts["lang"], counts["n"].max() / counts["n"]))
     ref = ray.put(weights)
 
@@ -271,11 +265,9 @@ def q_stratified_sample(sf_dir: str, cap: int = 300) -> pd.DataFrame:
     are skewed (downsample the giant web slice, keep all of the rare
     curated slice)."""
     ev = base_dataset(sf_dir, "events", columns=["event_id", "event_type"])
-    parts = ev.map_batches(
-        lambda df: df.groupby("event_type", as_index=False)
-                     .agg(n=("event_id", "size")),
-        batch_format="pandas").to_pandas()
-    sizes = parts.groupby("event_type")["n"].sum().to_dict()
+    sizes = reduce_partials(ev, "event_type", lambda df: pd.DataFrame(
+        {"event_type": df["event_type"], "n": np.int64(1)})
+    ).set_index("event_type")["n"].to_dict()
     # 'g' sorts above every hex digit => keep-all sentinel for small strata
     thresh = {t: ("g" if n <= cap else format((cap << 32) // int(n), "08x"))
               for t, n in sizes.items()}
@@ -307,7 +299,6 @@ def q_curated_pack(sf_dir: str, min_tokens: int = 20, min_stop_hits: int = 3,
     final packed result. The single SQL oracle chains the identical CTEs,
     so what is verified is the COMPOSITION, not just each stage alone."""
     from ..functions.hashing import hash64
-    from ..stages.shuffle import bucketed_group_apply
     from ..stages.textstats import EN_STOPWORDS
 
     stop = EN_STOPWORDS
@@ -374,7 +365,6 @@ def q_dedup_savings(sf_dir: str) -> pd.DataFrame:
     save? Families resolve by the (hash, id)-only shuffle shape of exact
     dedup (text rides for the collision guard); per-bucket (docs, dup
     docs, dup chars) partials merge as integer sums."""
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = base_dataset(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
 
@@ -427,21 +417,15 @@ def q_dup_family_histogram(sf_dir: str) -> pd.DataFrame:
     sizes resolve inside text-hash buckets, the COUNT-OF-COUNTS rows
     (one per distinct family size) merge as integer sums — the same
     wire-frugal shape as the key-skew histogram."""
-    from ..stages.shuffle import bucketed_group_apply
-
     docs = base_dataset(sf_dir, "documents", columns=["doc_id", "text"])
 
     def sizes(g: pd.DataFrame) -> pd.DataFrame:
-        fam = (g.groupby("text", as_index=False).size()
-                .rename(columns={"size": "family_size"}))
-        return (fam.groupby("family_size", as_index=False)
-                   .size().rename(columns={"size": "n_families"}))
+        fam = g.groupby("text").size()
+        return pd.DataFrame({"family_size": fam.to_numpy(np.int64),
+                             "n_families": np.int64(1)})
 
-    parts = bucketed_group_apply(docs, "text", sizes).to_pandas()
-    out = (parts.groupby("family_size", as_index=False)
-                ["n_families"].sum())
-    return (out.astype({"family_size": "int64", "n_families": "int64"})
-               .sort_values("family_size").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(docs, "text", sizes),
+                           "family_size")
 
 
 def q_canonical_token_dedup(sf_dir: str) -> pd.DataFrame:
@@ -459,7 +443,6 @@ def q_canonical_token_dedup(sf_dir: str) -> pd.DataFrame:
     per-doc unit, run batched inside map_batches."""
     import hashlib
 
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir)
 
@@ -488,35 +471,18 @@ def q_canonical_token_dedup(sf_dir: str) -> pd.DataFrame:
              .map_batches(fingerprints, batch_format="pandas") \
              .materialize()
 
-    def distinct_per_source(col):
+    def distinct_per_source(col: str, name: str) -> pd.DataFrame:
         def inner(g: pd.DataFrame) -> pd.DataFrame:
             d = g.drop_duplicates(["source", col])
-            return (d.groupby("source", as_index=False).size()
-                     .rename(columns={"size": "n"}))
-        return inner
+            return pd.DataFrame({"source": d["source"], name: np.int64(1)})
+        return reduce_partials(bucketed_group_apply(
+            fp.map_batches(lambda df: df.drop_duplicates(["source", col]),
+                           batch_format="pandas"), col, inner), "source")
 
-    n_docs = (fp.map_batches(
-        lambda df: (df.groupby("source", as_index=False).size()
-                      .rename(columns={"size": "n_docs"})),
-        batch_format="pandas").to_pandas()
-        .groupby("source", as_index=False).sum())
-    n_ex = (bucketed_group_apply(
-        fp.map_batches(lambda df: df.drop_duplicates(["source", "ex"]),
-                       batch_format="pandas"),
-        "ex", distinct_per_source("ex")).to_pandas()
-        .groupby("source", as_index=False)["n"].sum()
-        .rename(columns={"n": "n_exact"}))
-    n_bag = (bucketed_group_apply(
-        fp.map_batches(lambda df: df.drop_duplicates(["source", "bag"]),
-                       batch_format="pandas"),
-        "bag", distinct_per_source("bag")).to_pandas()
-        .groupby("source", as_index=False)["n"].sum()
-        .rename(columns={"n": "n_bags"}))
-
-    out = n_docs.merge(n_ex, on="source").merge(n_bag, on="source")
-    return (out.astype({"n_docs": "int64", "n_exact": "int64",
-                        "n_bags": "int64"})
-               .sort_values("source").reset_index(drop=True))
+    n_docs = reduce_partials(fp, "source", lambda df: pd.DataFrame(
+        {"source": df["source"], "n_docs": np.int64(1)}))
+    return (n_docs.merge(distinct_per_source("ex", "n_exact"), on="source")
+                  .merge(distinct_per_source("bag", "n_bags"), on="source"))
 
 
 def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
@@ -530,7 +496,6 @@ def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
     distinct source emits its sorted source pairs (fan-out bounded by
     the source count, not the corpus), and pair counts merge as integer
     sums."""
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir, ("doc_id", "source", "text"))
 
@@ -555,20 +520,11 @@ def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
                                  "source_b": pd.Series(dtype="object"),
                                  "n_shared_texts": pd.Series(dtype="int64")})
         return (pd.DataFrame(rows, columns=["source_a", "source_b"])
-                .assign(n_shared_texts=np.int64(1))
-                .groupby(["source_a", "source_b"], as_index=False).sum())
+                .assign(n_shared_texts=np.int64(1)))
 
-    out = bucketed_group_apply(
-        docs.map_batches(plant, batch_format="pandas"),
-        "text", pairs).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"source_a": pd.Series(dtype="object"),
-                             "source_b": pd.Series(dtype="object"),
-                             "n_shared_texts": pd.Series(dtype="int64")})
-    out = out.groupby(["source_a", "source_b"], as_index=False).sum()
-    return (out.astype({"n_shared_texts": "int64"})
-               .sort_values(["source_a", "source_b"])
-               .reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(
+        docs.map_batches(plant, batch_format="pandas"), "text", pairs),
+        ["source_a", "source_b"])
 
 
 def q_dedup_token_savings(sf_dir: str) -> pd.DataFrame:
@@ -579,41 +535,34 @@ def q_dedup_token_savings(sf_dir: str) -> pd.DataFrame:
     batch; the after-side dedups (source, text) pairs inside text-hash
     buckets and only (source, tokens) integers leave. One exact int/int
     division closes the savings share."""
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir, ("source", "text"))
 
     def raw(df: pd.DataFrame) -> pd.DataFrame:
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "source": df["source"].to_numpy(),
             "tokens_raw": df["text"].str.split(" ").str.len()
             .to_numpy(np.int64)})
-            .groupby("source", as_index=False).sum())
-
-    before = (docs.map_batches(raw, batch_format="pandas").to_pandas()
-              .groupby("source", as_index=False).sum())
 
     def dedup_tokens(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["source", "text"])
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "source": d["source"].to_numpy(),
             "tokens_dedup": d["text"].str.split(" ").str.len()
             .to_numpy(np.int64)})
-            .groupby("source", as_index=False).sum())
 
-    after = (bucketed_group_apply(
+    before = reduce_partials(docs, "source", raw)
+    after = reduce_partials(bucketed_group_apply(
         docs.map_batches(
             lambda df: df.drop_duplicates(["source", "text"]),
             batch_format="pandas"),
-        "text", dedup_tokens).to_pandas()
-        .groupby("source", as_index=False).sum())
+        "text", dedup_tokens), "source")
 
     out = before.merge(after, on="source")
-    out = out.astype({"tokens_raw": "int64", "tokens_dedup": "int64"})
     out["savings_share"] = (
         (out["tokens_raw"] - out["tokens_dedup"]).to_numpy(np.float64)
         / out["tokens_raw"].to_numpy(np.float64))
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
@@ -627,7 +576,6 @@ def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
     shape — each bucket emits only its 10-cell decile histogram), so
     nothing per-doc ever reaches the driver. Integer counts end to end;
     the fraction closes as ONE stated double division per decile."""
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir, ("doc_id", "text"))
     # streaming max — one aggregate pass, no driver-side column read
@@ -639,8 +587,8 @@ def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
                              "n": np.bincount(dec, minlength=10)
                              .astype(np.int64)})
 
-    n_rows = (docs.map_batches(rows_partial, batch_format="pandas")
-              .to_pandas().groupby("decile")["n"].sum())
+    n_rows = reduce_partials(docs, "decile", rows_partial) \
+        .set_index("decile")["n"]
 
     def firsts(g: pd.DataFrame) -> pd.DataFrame:
         fid = g.groupby("text")["doc_id"].min().to_numpy(np.int64)
@@ -649,8 +597,8 @@ def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
                              "nf": np.bincount(dec, minlength=10)
                              .astype(np.int64)})
 
-    n_first = (bucketed_group_apply(docs, "text", firsts)
-               .to_pandas().groupby("decile")["nf"].sum())
+    n_first = reduce_partials(bucketed_group_apply(docs, "text", firsts),
+                              "decile").set_index("decile")["nf"]
 
     out = pd.DataFrame({"decile": np.arange(10, dtype=np.int64)})
     out["n_rows"] = n_rows.reindex(out["decile"], fill_value=0).to_numpy(np.int64)
@@ -687,7 +635,6 @@ def q_leakage_safe_split(sf_dir: str) -> pd.DataFrame:
     its (split, source) count partial (<= 3 x |sources| cells), the
     driver merges cells, documents never gather."""
     from ..functions.hashing import md5_hash64
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir, ("doc_id", "source", "text"))
 
@@ -696,18 +643,14 @@ def q_leakage_safe_split(sf_dir: str) -> pd.DataFrame:
                .to_numpy(np.int64)
         b = md5_hash64([str(r) for r in rep]) % np.uint64(10)
         split = np.where(b < 8, "train", np.where(b == 8, "val", "test"))
-        d = pd.DataFrame({"split": split,
-                          "source": g["source"].to_numpy(object),
-                          "is_rep": (g["doc_id"].to_numpy(np.int64)
-                                     == rep).astype(np.int64)})
-        return d.groupby(["split", "source"], as_index=False).agg(
-            n_docs=("is_rep", "size"), n_families=("is_rep", "sum"))
+        return pd.DataFrame({"split": split,
+                             "source": g["source"].to_numpy(object),
+                             "n_docs": np.int64(1),
+                             "n_families": (g["doc_id"].to_numpy(np.int64)
+                                            == rep).astype(np.int64)})
 
-    out = (bucketed_group_apply(docs, "text", split_counts)
-           .to_pandas()
-           .groupby(["split", "source"], as_index=False).sum())
-    return (out.astype({"n_docs": "int64", "n_families": "int64"})
-               .sort_values(["split", "source"]).reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(docs, "text", split_counts),
+                           ["split", "source"])
 
 
 def q_ngram_novelty_by_source(sf_dir: str, n: int = 8) -> pd.DataFrame:
@@ -722,7 +665,6 @@ def q_ngram_novelty_by_source(sf_dir: str, n: int = 8) -> pd.DataFrame:
     n_exclusive) integer partials bounded by the source count, so the
     exploded gram table shuffles once and never gathers."""
     from ..functions.hashing import md5_hash64
-    from ..stages.shuffle import bucketed_group_apply
 
     docs = _docs(sf_dir, ("source", "text"))
 
@@ -744,20 +686,13 @@ def q_ngram_novelty_by_source(sf_dir: str, n: int = 8) -> pd.DataFrame:
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["h", "source"])
         ns = d.groupby("h")["source"].transform("size")
-        total = d.groupby("source").size()
-        excl = d[ns == 1].groupby("source").size()
-        return pd.DataFrame({
-            "source": total.index,
-            "n_grams": total.to_numpy(np.int64),
-            "n_exclusive": excl.reindex(total.index, fill_value=0)
-            .to_numpy(np.int64)})
+        return pd.DataFrame({"source": d["source"], "n_grams": np.int64(1),
+                             "n_exclusive": (ns == 1).astype(np.int64)})
 
-    out = (bucketed_group_apply(docs.map_batches(explode,
-                                                 batch_format="pandas"),
-                                "h", per_bucket)
-           .to_pandas().groupby("source", as_index=False).sum())
+    out = reduce_partials(bucketed_group_apply(
+        docs.map_batches(explode, batch_format="pandas"), "h", per_bucket),
+        "source")
     out["novelty"] = round_half_away(
         out["n_exclusive"].to_numpy(np.float64)
         / out["n_grams"].to_numpy(np.float64), 6)
-    return (out.astype({"n_grams": "int64", "n_exclusive": "int64"})
-               .sort_values("source").reset_index(drop=True))
+    return out

@@ -24,6 +24,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset
+from ..stages.shuffle import reduce_partials
 
 GROUP_COLS = ["source", "lang"]
 MOMENT_COLS = ["n", "s", "ss", "mn", "mx"]
@@ -31,10 +32,9 @@ MOMENT_COLS = ["n", "s", "ss", "mn", "mx"]
 
 def _partial(df: pd.DataFrame) -> pd.DataFrame:
     x = df["n_chars"].astype(float)
-    return (df.assign(x=x, xx=x * x)
-              .groupby(GROUP_COLS, as_index=False)
-              .agg(n=("x", "size"), s=("x", "sum"), ss=("xx", "sum"),
-                   mn=("x", "min"), mx=("x", "max")))
+    return pd.DataFrame({"source": df["source"], "lang": df["lang"],
+                         "n": np.int64(1), "s": x, "ss": x * x,
+                         "mn": x, "mx": x})
 
 
 def update_stats(store_dir: str, increment: rd.Dataset,
@@ -43,10 +43,8 @@ def update_stats(store_dir: str, increment: rd.Dataset,
     combiner-style) and append the tiny moment frame as v=<version>.
     Idempotent per version: re-running an increment overwrites its own
     partial, never double-counts (the crawl's rounds-as-versions rule)."""
-    parts = increment.map_batches(_partial, batch_format="pandas").to_pandas()
-    merged = parts.groupby(GROUP_COLS, as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"), ss=("ss", "sum"),
-        mn=("mn", "min"), mx=("mx", "max"))
+    merged = reduce_partials(increment, GROUP_COLS, _partial,
+                             agg={"mn": "min", "mx": "max"})
     d = os.path.join(store_dir, f"v={version}")
     os.makedirs(d, exist_ok=True)
     for stale in glob.glob(os.path.join(d, "*.parquet")):

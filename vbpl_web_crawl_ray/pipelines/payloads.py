@@ -19,6 +19,7 @@ from ..sources.imaging import encode_image, gen_pixels, phash64
 from ..stages import multimodal as mm
 from ..stages.fulltext import parse_fulltext_batch, sectionize_pdf_batch
 from ..sources.tablecache import base_dataset
+from ..stages.shuffle import reduce_partials
 
 _ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 _BIG = ["nhất", "hai", "ba", "bốn", "năm"]
@@ -222,15 +223,10 @@ def q_aspect_bucket_counts(sf_dir: str) -> pd.DataFrame:
         h = df["h"].to_numpy(np.int64)
         bucket = np.where(w * 4 >= h * 5, "wide",
                           np.where(h * 4 >= w * 5, "tall", "square"))
-        return (pd.DataFrame({"bucket": bucket, "px": w * h})
-                  .groupby("bucket", as_index=False)
-                  .agg(n_images=("px", "size"), total_pixels=("px", "sum")))
+        return pd.DataFrame({"bucket": bucket, "n_images": np.int64(1),
+                             "total_pixels": w * h})
 
-    parts = imgs.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("bucket", as_index=False).agg(
-        n_images=("n_images", "sum"), total_pixels=("total_pixels", "sum"))
-    return (out.astype({"n_images": "int64", "total_pixels": "int64"})
-               .sort_values("bucket").reset_index(drop=True))
+    return reduce_partials(imgs, "bucket", partial)
 
 
 def q_curated_image_pack(sf_dir: str, per_bucket: int = 50) -> pd.DataFrame:
@@ -457,19 +453,12 @@ def q_caption_stats_by_aspect(sf_dir: str) -> pd.DataFrame:
                           np.where(h * 4 >= w * 5, "tall", "square"))
         toks = df["caption"].str.split(" ").str.len().to_numpy(np.int64)
         chars = df["caption"].str.len().to_numpy(np.int64)
-        return (pd.DataFrame({"bucket": bucket, "toks": toks,
-                              "chars": chars, "mx": toks})
-                .groupby("bucket", as_index=False)
-                .agg(n_images=("toks", "size"), total_tokens=("toks", "sum"),
-                     total_chars=("chars", "sum"), max_tokens=("mx", "max")))
+        return pd.DataFrame({"bucket": bucket, "n_images": np.int64(1),
+                             "total_tokens": toks, "total_chars": chars,
+                             "max_tokens": toks})
 
-    parts = imgs.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("bucket", as_index=False).agg(
-        n_images=("n_images", "sum"), total_tokens=("total_tokens", "sum"),
-        total_chars=("total_chars", "sum"), max_tokens=("max_tokens", "max"))
-    return (out.astype({c: "int64" for c in ("n_images", "total_tokens",
-                                             "total_chars", "max_tokens")})
-               .sort_values("bucket").reset_index(drop=True))
+    return reduce_partials(imgs, "bucket", partial,
+                           agg={"max_tokens": "max"})
 
 
 def q_format_dim_stats(sf_dir: str) -> pd.DataFrame:
@@ -485,24 +474,14 @@ def q_format_dim_stats(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         w = df["w"].to_numpy(np.int64)
         h = df["h"].to_numpy(np.int64)
-        return (pd.DataFrame({"fmt": df["fmt"].to_numpy(),
-                              "px": w * h, "w": w, "h": h,
-                              "wide": (w > h).astype(np.int64)})
-                .groupby("fmt", as_index=False)
-                .agg(n_images=("px", "size"), total_pixels=("px", "sum"),
-                     min_w=("w", "min"), max_w=("w", "max"),
-                     min_h=("h", "min"), max_h=("h", "max"),
-                     n_wide=("wide", "sum")))
+        return pd.DataFrame({"fmt": df["fmt"].to_numpy(),
+                             "n_images": np.int64(1), "total_pixels": w * h,
+                             "min_w": w, "max_w": w, "min_h": h, "max_h": h,
+                             "n_wide": (w > h).astype(np.int64)})
 
-    parts = imgs.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("fmt", as_index=False).agg(
-        n_images=("n_images", "sum"), total_pixels=("total_pixels", "sum"),
-        min_w=("min_w", "min"), max_w=("max_w", "max"),
-        min_h=("min_h", "min"), max_h=("max_h", "max"),
-        n_wide=("n_wide", "sum"))
-    ints = [c for c in out.columns if c != "fmt"]
-    return (out.astype({c: "int64" for c in ints})
-               .sort_values("fmt").reset_index(drop=True))
+    return reduce_partials(imgs, "fmt", partial,
+                           agg={"min_w": "min", "max_w": "max",
+                                "min_h": "min", "max_h": "max"})
 
 
 def q_tile_pyramid_plan(sf_dir: str, tile: int = 16) -> pd.DataFrame:
@@ -532,12 +511,9 @@ def q_tile_pyramid_plan(sf_dir: str, tile: int = 16) -> pd.DataFrame:
                          "n_images": np.int64(int(keep.sum())),
                          "total_tiles": np.int64(int(tiles.sum()))})
             level += 1
-        return pd.DataFrame(rows)
+        return pd.DataFrame(rows, columns=["level", "n_images", "total_tiles"])
 
-    out = (imgs.map_batches(plan, batch_format="pandas").to_pandas()
-           .groupby("level", as_index=False).sum())
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values("level").reset_index(drop=True))
+    return reduce_partials(imgs, "level", plan)
 
 
 def q_letterbox_pad_plan(sf_dir: str, target: int = 224) -> pd.DataFrame:
@@ -556,14 +532,10 @@ def q_letterbox_pad_plan(sf_dir: str, target: int = 224) -> pd.DataFrame:
         m = np.maximum(w, h)
         nw = (w * target) // m
         nh = (h * target) // m
-        return (pd.DataFrame({"pad_x": target - nw, "pad_y": target - nh,
-                              "n_images": np.int64(1)})
-                .groupby(["pad_x", "pad_y"], as_index=False).sum())
+        return pd.DataFrame({"pad_x": target - nw, "pad_y": target - nh,
+                             "n_images": np.int64(1)})
 
-    out = (imgs.map_batches(plan, batch_format="pandas").to_pandas()
-           .groupby(["pad_x", "pad_y"], as_index=False).sum())
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values(["pad_x", "pad_y"]).reset_index(drop=True))
+    return reduce_partials(imgs, ["pad_x", "pad_y"], plan)
 
 
 def q_caption_truncation_audit(sf_dir: str) -> pd.DataFrame:
@@ -603,17 +575,14 @@ def q_caption_truncation_audit(sf_dir: str) -> pd.DataFrame:
         trunc = ((df["text_len"].to_numpy(np.int64) > 120)
                  & (df["ch121"].to_numpy() != " ")
                  & (df["cap_len"].to_numpy(np.int64) == 120))
-        return (pd.DataFrame({"fmt": df["fmt"].to_numpy(),
-                              "n_images": np.int64(1),
-                              "n_truncated": trunc.astype(np.int64)})
-                .groupby("fmt", as_index=False).sum())
+        return pd.DataFrame({"fmt": df["fmt"].to_numpy(),
+                             "n_images": np.int64(1),
+                             "n_truncated": trunc.astype(np.int64)})
 
-    out = (joined.map_batches(audit, batch_format="pandas").to_pandas()
-           .groupby("fmt", as_index=False).sum())
-    out = out.astype({"n_images": "int64", "n_truncated": "int64"})
+    out = reduce_partials(joined, "fmt", audit)
     out["truncated_share"] = (out["n_truncated"].to_numpy(np.float64)
                               / out["n_images"].to_numpy(np.float64))
-    return out.sort_values("fmt").reset_index(drop=True)
+    return out
 
 
 def q_phash_bit_balance(sf_dir: str) -> pd.DataFrame:
@@ -634,10 +603,7 @@ def q_phash_bit_balance(sf_dir: str) -> pd.DataFrame:
                              "n_set": bits.sum(axis=0).astype(np.int64),
                              "n_images": np.int64(len(df))})
 
-    out = (imgs.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("bit", as_index=False).sum())
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values("bit").reset_index(drop=True))
+    return reduce_partials(imgs, "bit", partial)
 
 
 def q_payload_lance_roundtrip(sf_dir: str) -> pd.DataFrame:
@@ -659,14 +625,10 @@ def q_payload_lance_roundtrip(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         w = df["w"].to_numpy(np.int64)
         h = df["h"].to_numpy(np.int64)
-        return (pd.DataFrame({"fmt": df["fmt"].to_numpy(),
-                              "n_images": np.int64(1), "pixels": w * h})
-                .groupby("fmt", as_index=False).sum())
+        return pd.DataFrame({"fmt": df["fmt"].to_numpy(),
+                             "n_images": np.int64(1), "pixels": w * h})
 
-    out = (back.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("fmt", as_index=False).sum())
-    return (out.astype({"n_images": "int64", "pixels": "int64"})
-               .sort_values("fmt").reset_index(drop=True))
+    return reduce_partials(back, "fmt", partial)
 
 
 def q_image_tier_plan(sf_dir: str) -> pd.DataFrame:
@@ -682,26 +644,20 @@ def q_image_tier_plan(sf_dir: str) -> pd.DataFrame:
 
     def hist(df: pd.DataFrame) -> pd.DataFrame:
         px = df["w"].to_numpy(np.int64) * df["h"].to_numpy(np.int64)
-        return (pd.DataFrame({"px": px, "n": np.int64(1)})
-                .groupby("px", as_index=False).sum())
+        return pd.DataFrame({"px": px, "n": np.int64(1)})
 
-    h = (imgs.map_batches(hist, batch_format="pandas").to_pandas()
-         .groupby("px", as_index=False).sum().sort_values("px"))
+    h = reduce_partials(imgs, "px", hist)
     total = int(h["n"].sum())
     cum = h["n"].cumsum().to_numpy(np.int64)
     p90 = int(h["px"].to_numpy()[np.argmax(100 * cum >= 90 * total)])
 
     def tiers(df: pd.DataFrame) -> pd.DataFrame:
         px = df["w"].to_numpy(np.int64) * df["h"].to_numpy(np.int64)
-        return (pd.DataFrame({"fmt": df["fmt"].to_numpy(),
-                              "tier": np.where(px >= p90, "cold", "hot"),
-                              "n_images": np.int64(1), "pixels": px})
-                .groupby(["fmt", "tier"], as_index=False).sum())
+        return pd.DataFrame({"fmt": df["fmt"].to_numpy(),
+                             "tier": np.where(px >= p90, "cold", "hot"),
+                             "n_images": np.int64(1), "pixels": px})
 
-    out = (imgs.map_batches(tiers, batch_format="pandas").to_pandas()
-           .groupby(["fmt", "tier"], as_index=False).sum())
-    return (out.astype({"n_images": "int64", "pixels": "int64"})
-               .sort_values(["fmt", "tier"]).reset_index(drop=True))
+    return reduce_partials(imgs, ["fmt", "tier"], tiers)
 
 
 def q_image_bytes_stats(sf_dir: str) -> pd.DataFrame:
@@ -716,24 +672,10 @@ def q_image_bytes_stats(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         nb = df["bytes"].map(len).to_numpy(np.int64)
         px = df["w"].to_numpy(np.int64) * df["h"].to_numpy(np.int64)
-        return (pd.DataFrame({"fmt": df["fmt"].to_numpy(),
-                              "n_images": np.int64(1), "total_bytes": nb,
-                              "min_bytes": nb, "max_bytes": nb,
-                              "total_pixels": px})
-                .groupby("fmt", as_index=False)
-                .agg(n_images=("n_images", "sum"),
-                     total_bytes=("total_bytes", "sum"),
-                     min_bytes=("min_bytes", "min"),
-                     max_bytes=("max_bytes", "max"),
-                     total_pixels=("total_pixels", "sum")))
+        return pd.DataFrame({"fmt": df["fmt"].to_numpy(),
+                             "n_images": np.int64(1), "total_bytes": nb,
+                             "min_bytes": nb, "max_bytes": nb,
+                             "total_pixels": px})
 
-    out = (imgs.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("fmt", as_index=False)
-           .agg(n_images=("n_images", "sum"),
-                total_bytes=("total_bytes", "sum"),
-                min_bytes=("min_bytes", "min"),
-                max_bytes=("max_bytes", "max"),
-                total_pixels=("total_pixels", "sum")))
-    ints = [c for c in out.columns if c != "fmt"]
-    return (out.astype({c: "int64" for c in ints})
-               .sort_values("fmt").reset_index(drop=True))
+    return reduce_partials(imgs, "fmt", partial,
+                           agg={"min_bytes": "min", "max_bytes": "max"})

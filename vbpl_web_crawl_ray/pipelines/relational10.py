@@ -26,6 +26,7 @@ import pandas as pd
 
 from ..functions.hashing import md5_hash64
 from ..sources.tablecache import base_dataset
+from ..stages.shuffle import reduce_partials
 
 SAMPLE_K = 25
 DECAY_MAX_AGE_DAYS = 40        # fixture spans ~30 days; cap the shift
@@ -89,14 +90,10 @@ def q_time_decayed_value(sf_dir: str) -> pd.DataFrame:
                          DECAY_MAX_AGE_DAYS).astype(np.int64)
         cents = np.round(df["value"].to_numpy(np.float64)
                          * 100).astype(np.int64)
-        d = pd.DataFrame({"event_type": df["event_type"]
-                          .to_numpy(object), "age": age, "cents": cents})
-        return d.groupby(["event_type", "age"],
-                         as_index=False)["cents"].sum()
+        return pd.DataFrame({"event_type": df["event_type"]
+                             .to_numpy(object), "age": age, "cents": cents})
 
-    parts = (ev.map_batches(partial, batch_format="pandas").to_pandas()
-             .groupby(["event_type", "age"], as_index=False)["cents"]
-             .sum())
+    parts = reduce_partials(ev, ["event_type", "age"], partial)
     rows = []
     for t, g in parts.groupby("event_type", sort=True):
         num = sum(int(c) << int(DECAY_MAX_AGE_DAYS - a)

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 from .relational7 import GAP_US
 
 
@@ -47,11 +47,8 @@ def q_lorenz_decile_shares(sf_dir: str) -> pd.DataFrame:
 
     users = bucketed_group_apply(ev, "user_id", per_user).materialize()
 
-    hist = (users.map_batches(
-        lambda df: df.groupby("x", as_index=False).agg(
-            f=("user_id", "size")), batch_format="pandas")
-        .to_pandas().groupby("x", as_index=False)["f"].sum()
-        .sort_values("x"))
+    hist = reduce_partials(users, "x", lambda df: pd.DataFrame(
+        {"x": df["x"], "f": np.int64(1)}))
     xs = hist["x"].to_numpy(np.int64)
     fs = hist["f"].to_numpy(np.int64)
     n = int(fs.sum())
@@ -63,18 +60,15 @@ def q_lorenz_decile_shares(sf_dir: str) -> pd.DataFrame:
             ids = np.sort(grp["user_id"].to_numpy(np.int64))
             rank = offs[int(x)] + 1 + np.arange(len(ids), dtype=np.int64)
             dec = (rank - 1) * 10 // n
-            d = pd.DataFrame({"decile": dec, "n_users": 1,
-                              "n_events": int(x)})
-            rows.append(d.groupby("decile", as_index=False).sum())
+            rows.append(pd.DataFrame({"decile": dec, "n_users": 1,
+                                      "n_events": int(x)}))
         return pd.concat(rows, ignore_index=True)
 
-    parts = (bucketed_group_apply(users, "x", deciles)
-             .to_pandas().groupby("decile", as_index=False).sum())
+    parts = reduce_partials(bucketed_group_apply(users, "x", deciles),
+                            "decile")
     total = int(parts["n_events"].sum())
     parts["event_share"] = parts["n_events"].astype(np.float64) / total
-    return (parts.astype({"decile": "int64", "n_users": "int64",
-                          "n_events": "int64"})
-            .sort_values("decile").reset_index(drop=True))
+    return parts
 
 
 def q_session_cooccurrence_lift(sf_dir: str) -> pd.DataFrame:
@@ -101,21 +95,19 @@ def q_session_cooccurrence_lift(sf_dir: str) -> pd.DataFrame:
         st = pd.DataFrame({"sid": np.cumsum(new),
                            "e": d["event_type"].to_numpy(object)}) \
             .drop_duplicates()
-        singles = st.groupby("e", as_index=False).agg(n=("sid", "size"))
-        singles = singles.rename(columns={"e": "key"})
-        singles["kind"] = "t"
+        singles = pd.DataFrame({"kind": "t", "key": st["e"],
+                                "n": np.int64(1)})
         pairs = st.merge(st, on="sid")
         pairs = pairs[pairs["e_x"] < pairs["e_y"]]
-        pc = (pairs.assign(key=pairs["e_x"] + "|" + pairs["e_y"])
-              .groupby("key", as_index=False).agg(n=("sid", "size")))
-        pc["kind"] = "p"
-        total = pd.DataFrame({"key": ["_sessions"],
-                              "n": [int(new.sum())], "kind": ["s"]})
+        pc = pd.DataFrame({"kind": "p",
+                           "key": pairs["e_x"] + "|" + pairs["e_y"],
+                           "n": np.int64(1)})
+        total = pd.DataFrame({"kind": ["s"], "key": ["_sessions"],
+                              "n": [int(new.sum())]})
         return pd.concat([singles, pc, total], ignore_index=True)
 
-    parts = (bucketed_group_apply(ev, "user_id", per_bucket)
-             .to_pandas().groupby(["kind", "key"], as_index=False)["n"]
-             .sum())
+    parts = reduce_partials(bucketed_group_apply(ev, "user_id", per_bucket),
+                            ["kind", "key"])
     s_total = int(parts.loc[parts["kind"] == "s", "n"].sum())
     singles = dict(zip(parts.loc[parts["kind"] == "t", "key"],
                        parts.loc[parts["kind"] == "t", "n"]))
@@ -130,5 +122,4 @@ def q_session_cooccurrence_lift(sf_dir: str) -> pd.DataFrame:
         "type_b": p["type_b"].to_numpy(object),
         "n_co": n_ab, "n_a": n_a, "n_b": n_b,
         "lift": (n_ab * s_total).astype(np.float64) / (n_a * n_b)})
-    return (out.astype({"n_co": "int64", "n_a": "int64", "n_b": "int64"})
-            .sort_values(["type_a", "type_b"]).reset_index(drop=True))
+    return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 
 
 def q_value_log_histogram(sf_dir: str) -> pd.DataFrame:
@@ -45,20 +45,13 @@ def q_value_log_histogram(sf_dir: str) -> pd.DataFrame:
         # (cents < 2^53), frexp returns the true exponent
         _, e = np.frexp(cents.astype(np.float64))
         bucket = np.where(cents > 0, e - 1, -1).astype(np.int64)
-        d = pd.DataFrame({"event_type": df["event_type"]
-                          .to_numpy(object), "bucket": bucket,
-                          "cents": cents})
-        return d.groupby(["event_type", "bucket"], as_index=False).agg(
-            n_rows=("cents", "size"), c_min=("cents", "min"),
-            c_max=("cents", "max"))
+        return pd.DataFrame({"event_type": df["event_type"]
+                             .to_numpy(object), "bucket": bucket,
+                             "n_rows": np.int64(1), "c_min": cents,
+                             "c_max": cents})
 
-    parts = ev.map_batches(part, batch_format="pandas").to_pandas()
-    out = parts.groupby(["event_type", "bucket"], as_index=False).agg(
-        n_rows=("n_rows", "sum"), c_min=("c_min", "min"),
-        c_max=("c_max", "max"))
-    return (out.astype({"bucket": "int64", "n_rows": "int64",
-                        "c_min": "int64", "c_max": "int64"})
-            .sort_values(["event_type", "bucket"]).reset_index(drop=True))
+    return reduce_partials(ev, ["event_type", "bucket"], part,
+                           agg={"c_min": "min", "c_max": "max"})
 
 
 def q_fd_audit(sf_dir: str) -> pd.DataFrame:

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 
 
 def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
@@ -46,20 +46,17 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["word", "source"])
-        singles = d.groupby("source", as_index=False).agg(
-            n=("word", "size"))
-        singles["kind"] = "s"
-        singles = singles.rename(columns={"source": "key"})
+        singles = pd.DataFrame({"kind": "s", "key": d["source"],
+                                "n": np.int64(1)})
         m = d.merge(d, on="word")
         m = m[m["source_x"] < m["source_y"]]
-        co = (m.assign(key=m["source_x"] + "|" + m["source_y"])
-              .groupby("key", as_index=False).agg(n=("word", "size")))
-        co["kind"] = "p"
+        co = pd.DataFrame({"kind": "p",
+                           "key": m["source_x"] + "|" + m["source_y"],
+                           "n": np.int64(1)})
         return pd.concat([singles, co], ignore_index=True)
 
-    parts = (bucketed_group_apply(pairs_src, "word", per_bucket)
-             .to_pandas().groupby(["kind", "key"], as_index=False)["n"]
-             .sum())
+    parts = reduce_partials(
+        bucketed_group_apply(pairs_src, "word", per_bucket), ["kind", "key"])
     vocab = dict(zip(parts.loc[parts["kind"] == "s", "key"],
                      parts.loc[parts["kind"] == "s", "n"]))
     srcs = sorted(vocab)
@@ -105,14 +102,9 @@ def q_join_fanout_histogram(sf_dir: str) -> pd.DataFrame:
                       "cnt": np.int64(0)}), batch_format="pandas")))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        fan = (g.groupby("k")["cnt"].sum()
-               .astype(np.int64))              # lineitems per key
-        cc = fan.value_counts()
-        return pd.DataFrame({"fanout": cc.index.to_numpy(np.int64),
-                             "n_keys": cc.to_numpy(np.int64)})
+        fan = g.groupby("k")["cnt"].sum()     # lineitems per key
+        return pd.DataFrame({"fanout": fan.to_numpy(np.int64),
+                             "n_keys": np.int64(1)})
 
-    out = (bucketed_group_apply(tagged, "k", per_bucket)
-           .to_pandas().groupby("fanout", as_index=False)["n_keys"]
-           .sum())
-    return (out.astype({"fanout": "int64", "n_keys": "int64"})
-            .sort_values("fanout").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(tagged, "k", per_bucket),
+                           "fanout")

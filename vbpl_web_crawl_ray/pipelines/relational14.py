@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
+from ..stages.shuffle import reduce_partials
 
 SPLIT_TS = "2024-01-16"        # halves the fixture's ~30-day range
 
@@ -46,13 +47,11 @@ def q_daily_autocorr(sf_dir: str) -> pd.DataFrame:
     def part(df: pd.DataFrame) -> pd.DataFrame:
         day = (df["ts"].astype("int64").to_numpy() // day_us) \
             .astype(np.int64)
-        d = pd.DataFrame({"event_type": df["event_type"]
-                          .to_numpy(object), "day": day})
-        return d.groupby(["event_type", "day"], as_index=False) \
-                .agg(n=("day", "size"))
+        return pd.DataFrame({"event_type": df["event_type"]
+                             .to_numpy(object), "day": day,
+                             "n": np.int64(1)})
 
-    daily = (ev.map_batches(part, batch_format="pandas").to_pandas()
-             .groupby(["event_type", "day"], as_index=False)["n"].sum())
+    daily = reduce_partials(ev, ["event_type", "day"], part)
     rows = []
     for t, g in daily.groupby("event_type", sort=True):
         lo, hi = int(g["day"].min()), int(g["day"].max())
@@ -92,13 +91,11 @@ def q_type_mix_drift(sf_dir: str) -> pd.DataFrame:
     def part(df: pd.DataFrame) -> pd.DataFrame:
         half = (df["ts"].astype("int64").to_numpy()
                 >= split_us).astype(np.int64)
-        d = pd.DataFrame({"event_type": df["event_type"]
-                          .to_numpy(object), "half": half})
-        return d.groupby(["event_type", "half"], as_index=False) \
-                .agg(n=("half", "size"))
+        return pd.DataFrame({"event_type": df["event_type"]
+                             .to_numpy(object), "half": half,
+                             "n": np.int64(1)})
 
-    c = (ev.map_batches(part, batch_format="pandas").to_pandas()
-         .groupby(["event_type", "half"], as_index=False)["n"].sum())
+    c = reduce_partials(ev, ["event_type", "half"], part)
     w = c.pivot_table(index="event_type", columns="half", values="n",
                       aggfunc="sum").fillna(0).astype(np.int64)
     c1 = w[0] if 0 in w.columns else 0

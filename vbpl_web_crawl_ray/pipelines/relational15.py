@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
+from ..stages.shuffle import reduce_partials
 
 N_PARTS = 8
 
@@ -34,13 +35,9 @@ def _cents_hist(ds, col: str) -> pd.Series:
     def part(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df[col].to_numpy(np.float64)
                          * 100).astype(np.int64)
-        vc = pd.Series(cents).value_counts()
-        return pd.DataFrame({"c": vc.index.to_numpy(np.int64),
-                             "n": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"c": cents, "n": np.int64(1)})
 
-    h = (ds.map_batches(part, batch_format="pandas").to_pandas()
-         .groupby("c")["n"].sum().sort_index())
-    return h
+    return reduce_partials(ds, "c", part).set_index("c")["n"]
 
 
 def _kth_smallest(hist: pd.Series, k: int) -> int:
@@ -62,18 +59,13 @@ def q_p99_outlier_counts(sf_dir: str) -> pd.DataFrame:
     def count_above(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["value"].to_numpy(np.float64)
                          * 100).astype(np.int64)
-        d = pd.DataFrame({"event_type": df["event_type"]
-                          .to_numpy(object),
-                          "above": (cents > thr).astype(np.int64)})
-        return d.groupby("event_type", as_index=False).agg(
-            n_events=("above", "size"), n_above=("above", "sum"))
+        return pd.DataFrame({"event_type": df["event_type"]
+                             .to_numpy(object), "n_events": np.int64(1),
+                             "n_above": (cents > thr).astype(np.int64)})
 
-    out = (ev.map_batches(count_above, batch_format="pandas")
-           .to_pandas().groupby("event_type", as_index=False).sum())
-    out["threshold_cents"] = thr
-    return (out.astype({"n_events": "int64", "n_above": "int64",
-                        "threshold_cents": "int64"})
-            .sort_values("event_type").reset_index(drop=True))
+    out = reduce_partials(ev, "event_type", count_above)
+    out["threshold_cents"] = np.int64(thr)
+    return out
 
 
 def q_range_partition_plan(sf_dir: str) -> pd.DataFrame:
@@ -94,14 +86,8 @@ def q_range_partition_plan(sf_dir: str) -> pd.DataFrame:
                          * 100).astype(np.int64)
         # #{b < c} == index of first boundary >= c
         p = np.searchsorted(bounds, cents, side="left").astype(np.int64)
-        d = pd.DataFrame({"partition": p, "cents": cents})
-        return d.groupby("partition", as_index=False).agg(
-            n_rows=("cents", "size"), c_min=("cents", "min"),
-            c_max=("cents", "max"))
+        return pd.DataFrame({"partition": p, "n_rows": np.int64(1),
+                             "c_min": cents, "c_max": cents})
 
-    out = (li.map_batches(part, batch_format="pandas").to_pandas()
-           .groupby("partition", as_index=False).agg(
-               n_rows=("n_rows", "sum"), c_min=("c_min", "min"),
-               c_max=("c_max", "max")))
-    return (out.astype({c: "int64" for c in out.columns})
-            .sort_values("partition").reset_index(drop=True))
+    return reduce_partials(li, "partition", part,
+                           agg={"c_min": "min", "c_max": "max"})

@@ -12,7 +12,7 @@ import ray.data as rd
 
 from ..functions.hashing import hash64
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 from ..sources.tablecache import base_dataset, base_pandas
 
 _NUM_BUCKETS = 8
@@ -504,10 +504,8 @@ def q_value_histogram(sf_dir: str, lo: float = 0.0, hi: float = 100.0,
         return pd.DataFrame({"bin": np.arange(n_bins + 2, dtype=np.int64),
                              "n": c.astype(np.int64)})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("bin", as_index=False)["n"].sum()
-    out = out[out["n"] > 0].astype({"bin": "int64", "n": "int64"})
-    return out.sort_values("bin").reset_index(drop=True)
+    out = reduce_partials(ev, "bin", partial)
+    return out[out["n"] > 0].reset_index(drop=True)
 
 
 def q_corr_per_group(sf_dir: str):
@@ -551,16 +549,10 @@ def q_pivot_orders(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         y = df["o_orderdate"].astype("datetime64[us]").dt.year
-        out = {"o_orderpriority": df["o_orderpriority"]}
-        agg = pd.DataFrame(out).assign(
+        return pd.DataFrame({"o_orderpriority": df["o_orderpriority"]}).assign(
             **{f"y{yy}": (y == yy).astype(np.int64) for yy in years})
-        return agg.groupby("o_orderpriority", as_index=False).sum()
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("o_orderpriority", as_index=False).sum()
-    for yy in years:
-        out[f"y{yy}"] = out[f"y{yy}"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return reduce_partials(ds, "o_orderpriority", partial)
 
 
 def q_mode_per_group(sf_dir: str):
@@ -570,19 +562,13 @@ def q_mode_per_group(sf_dir: str):
     argmaxes on the driver."""
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["o_orderpriority", "o_orderstatus"],
-                           as_index=False).agg(n=("o_orderstatus", "size")))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    c = parts.groupby(["o_orderpriority", "o_orderstatus"],
-                      as_index=False)["n"].sum()
+    c = reduce_partials(ds, ["o_orderpriority", "o_orderstatus"],
+                        lambda df: df.assign(n=np.int64(1)))
     c = c.sort_values(["o_orderpriority", "n", "o_orderstatus"],
                       ascending=[True, False, True], kind="mergesort")
     out = c.groupby("o_orderpriority", as_index=False).head(1)
     return (out.rename(columns={"o_orderstatus": "mode_status"})
-               .astype({"n": "int64"})
-               .sort_values("o_orderpriority").reset_index(drop=True))
+               .reset_index(drop=True))
 
 
 def q_ntile_quartiles(sf_dir: str):
@@ -608,10 +594,8 @@ def q_ntile_quartiles(sf_dir: str):
                        nbins - 1)
         return df.assign(bin=b)
 
-    counts = (ds.map_batches(binned, batch_format="pandas")
-                .map_batches(lambda df: df.groupby("bin", as_index=False)
-                             .agg(c=("bin", "size")), batch_format="pandas")
-                .to_pandas().groupby("bin")["c"].sum())
+    counts = reduce_partials(ds, "bin", lambda df: pd.DataFrame(
+        {"bin": binned(df)["bin"], "c": np.int64(1)})).set_index("bin")["c"]
     offsets = np.zeros(nbins, dtype=np.int64)
     cum = 0
     for b in range(nbins):
@@ -637,22 +621,15 @@ def q_ntile_quartiles(sf_dir: str):
             q = np.where(pos < cut, pos // (base + 1),
                          rem + (pos - cut) // max(base, 1)) + 1
             out.append(pd.DataFrame({
-                "quartile": q.astype(np.int64),
-                "o_totalprice": sub["o_totalprice"].to_numpy()}))
-        res = pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            {"quartile": pd.Series(dtype=np.int64),
-             "o_totalprice": pd.Series(dtype=np.float64)})
-        return (res.groupby("quartile", as_index=False)
-                   .agg(n=("o_totalprice", "size"),
-                        sum_price=("o_totalprice", "sum")))
+                "quartile": q.astype(np.int64), "n": np.int64(1),
+                "sum_price": sub["o_totalprice"].to_numpy()}))
+        return pd.concat(out, ignore_index=True)
 
-    parts = bucketed_group_apply(
-        ds.map_batches(binned, batch_format="pandas"), "bin", rank_in_bin).to_pandas()
-    out = parts.groupby("quartile", as_index=False).agg(
-        n=("n", "sum"), sum_price=("sum_price", "sum"))
-    out["n"] = out["n"].astype("int64")
+    out = reduce_partials(bucketed_group_apply(
+        ds.map_batches(binned, batch_format="pandas"), "bin", rank_in_bin),
+        "quartile")
     out["sum_price"] = round_half_away(out["sum_price"].to_numpy(), 4)
-    return out.sort_values("quartile").reset_index(drop=True)
+    return out
 
 
 def q_dense_rank_top_orders(sf_dir: str, k: int = 3):
@@ -805,14 +782,10 @@ def q_month_over_month(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         month = df["o_orderdate"].dt.to_period("M").dt.to_timestamp()
-        return (df.assign(month=month)
-                  .groupby("month", as_index=False)
-                  .agg(revenue=("o_totalprice", "sum")))
+        return pd.DataFrame({"month": month,
+                             "revenue": df["o_totalprice"]})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = (parts.groupby("month", as_index=False)
-                .agg(revenue=("revenue", "sum"))
-                .sort_values("month").reset_index(drop=True))
+    out = reduce_partials(ds, "month", partial)
     prev = out["revenue"].shift(1)
     pct = (out["revenue"] - prev) / prev * 100.0
     return pd.DataFrame({

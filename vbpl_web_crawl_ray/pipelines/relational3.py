@@ -24,7 +24,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 from ..sources.tablecache import base_dataset, base_pandas
 
 
@@ -137,15 +137,11 @@ def q_q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         d = df.loc[m]
         rev = (d["l_extendedprice"].to_numpy()
                * (1.0 - d["l_discount"].to_numpy()))
-        return (pd.DataFrame({"l_orderkey": d["l_orderkey"].to_numpy(),
-                              "o_orderdate": d["o_orderdate"].to_numpy(),
-                              "rev": rev})
-                .groupby(["l_orderkey", "o_orderdate"], as_index=False)
-                ["rev"].sum())
+        return pd.DataFrame({"l_orderkey": d["l_orderkey"].to_numpy(),
+                             "o_orderdate": d["o_orderdate"].to_numpy(),
+                             "rev": rev})
 
-    agg = (dated.map_batches(revenue, batch_format="pandas").to_pandas()
-           .groupby(["l_orderkey", "o_orderdate"], as_index=False)["rev"]
-           .sum())
+    agg = reduce_partials(dated, ["l_orderkey", "o_orderdate"], revenue)
     out = pd.DataFrame({
         "l_orderkey": agg["l_orderkey"].astype("int64"),
         "revenue": round_half_away(agg["rev"].to_numpy(), 4),
@@ -198,12 +194,10 @@ def q_conversion_time_stats(sf_dir: str) -> pd.DataFrame:
         t = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         s = np.where(df["event_type"].to_numpy() == "signup", t, _NEVER)
         p = np.where(df["event_type"].to_numpy() == "purchase", t, _NEVER)
-        return (pd.DataFrame({"user_id": df["user_id"].to_numpy(),
-                              "s": s, "p": p})
-                .groupby("user_id", as_index=False).min())
+        return pd.DataFrame({"user_id": df["user_id"].to_numpy(),
+                             "s": s, "p": p})
 
-    parts = ev.map_batches(partial, batch_format="pandas").to_pandas()
-    f = parts.groupby("user_id", as_index=False).min()
+    f = reduce_partials(ev, "user_id", partial, agg={"s": "min", "p": "min"})
     d = f[(f["s"] < _NEVER) & (f["p"] < _NEVER)]
     dur = np.sort((d["p"] - d["s"]).to_numpy(np.int64))
     m = len(dur)
@@ -266,14 +260,12 @@ def q_pareto_revenue_share(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({"o_custkey": df["o_custkey"].to_numpy(),
-                              "cents": cents})
-                .groupby("o_custkey", as_index=False)["cents"].sum())
+        return pd.DataFrame({"o_custkey": df["o_custkey"].to_numpy(),
+                             "cents": cents})
 
-    parts = o.map_batches(partial, batch_format="pandas").to_pandas()
-    rev = (parts.groupby("o_custkey", as_index=False)["cents"].sum()
-                .sort_values(["cents", "o_custkey"],
-                             ascending=[False, True], kind="mergesort"))
+    rev = (reduce_partials(o, "o_custkey", partial)
+           .sort_values(["cents", "o_custkey"], ascending=[False, True],
+                        kind="mergesort"))
     m = len(rev)
     k = int(np.argmax(5 * (np.arange(m) + 1) >= m)) + 1   # ceil(m/5)
     cents = rev["cents"].to_numpy(np.int64)
@@ -301,14 +293,12 @@ def q_lorenz_curve(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({"o_custkey": df["o_custkey"].to_numpy(),
-                              "cents": cents})
-                .groupby("o_custkey", as_index=False)["cents"].sum())
+        return pd.DataFrame({"o_custkey": df["o_custkey"].to_numpy(),
+                             "cents": cents})
 
-    parts = o.map_batches(partial, batch_format="pandas").to_pandas()
-    rev = (parts.groupby("o_custkey", as_index=False)["cents"].sum()
-                .sort_values(["cents", "o_custkey"],
-                             ascending=[False, True], kind="mergesort"))
+    rev = (reduce_partials(o, "o_custkey", partial)
+           .sort_values(["cents", "o_custkey"], ascending=[False, True],
+                        kind="mergesort"))
     cents = rev["cents"].to_numpy(np.int64)
     m = len(cents)
     cum = np.cumsum(cents)
@@ -387,18 +377,13 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "nation": df["o_custkey"].map(broadcast_get(cref)).to_numpy(),
-            "cents": cents, "n": np.int64(1)})
-            .groupby("nation", as_index=False).sum())
+            "revenue_cents": cents, "n_orders": np.int64(1)})
 
-    parts = (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-             .map_batches(rollup, batch_format="pandas").to_pandas())
-    out = parts.groupby("nation", as_index=False).sum()
-    return (pd.DataFrame({"nation": out["nation"],
-                          "revenue_cents": out["cents"].astype("int64"),
-                          "n_orders": out["n"].astype("int64")})
-            .sort_values("nation").reset_index(drop=True))
+    return reduce_partials(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]), "nation",
+        rollup)
 
 
 def q_running_distinct_types(sf_dir: str) -> pd.DataFrame:
@@ -466,21 +451,14 @@ def q_supplier_balance_by_region(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["s_acctbal"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "region": df["s_nationkey"].map(broadcast_get(ref)).to_numpy(),
-            "cents": cents, "n": np.int64(1), "mx": cents})
-            .groupby("region", as_index=False)
-            .agg(cents=("cents", "sum"), n=("n", "sum"),
-                 mx=("mx", "max")))
+            "total_cents": cents, "n_suppliers": np.int64(1),
+            "max_cents": cents})
 
-    parts = (_read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    out = parts.groupby("region", as_index=False).agg(
-        total_cents=("cents", "sum"), n_suppliers=("n", "sum"),
-        max_cents=("mx", "max"))
-    return (out.astype({"total_cents": "int64", "n_suppliers": "int64",
-                        "max_cents": "int64"})
-               .sort_values("region").reset_index(drop=True))
+    return reduce_partials(
+        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]), "region",
+        partial, agg={"max_cents": "max"})
 
 
 def q_top_suppliers_by_volume(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -493,15 +471,13 @@ def q_top_suppliers_by_volume(sf_dir: str, k: int = 10) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         q = df["l_quantity"].to_numpy(np.int64)
-        return (pd.DataFrame({"s_suppkey": df["l_suppkey"].to_numpy(),
-                              "qty": q, "n": np.int64(1)})
-                .groupby("s_suppkey", as_index=False).sum())
+        return pd.DataFrame({"s_suppkey": df["l_suppkey"].to_numpy(),
+                             "qty": q, "n": np.int64(1)})
 
-    parts = li.map_batches(partial, batch_format="pandas").to_pandas()
-    agg = (parts.groupby("s_suppkey", as_index=False).sum()
-                .sort_values(["qty", "s_suppkey"],
-                             ascending=[False, True], kind="mergesort")
-                .head(k))
+    agg = (reduce_partials(li, "s_suppkey", partial)
+           .sort_values(["qty", "s_suppkey"], ascending=[False, True],
+                        kind="mergesort")
+           .head(k))
     names = base_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
     out = agg.merge(names, on="s_suppkey", how="left")
     return (pd.DataFrame({"s_suppkey": out["s_suppkey"].astype("int64"),
@@ -524,18 +500,11 @@ def q_discount_revenue_levels(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         lvl = np.round(df["l_discount"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({"discount_pct": lvl, "cents": cents,
-                              "qty": df["l_quantity"].to_numpy(np.int64),
-                              "n": np.int64(1)})
-                .groupby("discount_pct", as_index=False).sum())
+        return pd.DataFrame({"discount_pct": lvl, "revenue_cents": cents,
+                             "total_qty": df["l_quantity"].to_numpy(np.int64),
+                             "n_items": np.int64(1)})
 
-    parts = li.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("discount_pct", as_index=False).sum()
-    return (out.astype({c: "int64" for c in
-                        ("discount_pct", "cents", "qty", "n")})
-               .rename(columns={"cents": "revenue_cents",
-                                "qty": "total_qty", "n": "n_items"})
-               .sort_values("discount_pct").reset_index(drop=True))
+    return reduce_partials(li, "discount_pct", partial)
 
 
 def q_peak_minute_per_type(sf_dir: str) -> pd.DataFrame:
@@ -606,12 +575,8 @@ def q_scd2_asof_lookup(sf_dir: str) -> pd.DataFrame:
                                 side="left")
         ver = (upto - start).astype(np.int64)
         ver = ver[ver > 0]          # clicks before any purchase drop
-        return (pd.DataFrame({"version": ver, "n_clicks": np.int64(1)})
-                .groupby("version", as_index=False).sum())
+        return pd.DataFrame({"version": ver, "n_clicks": np.int64(1)})
 
-    out = (bucketed_group_apply(
-        ev.map_batches(pre, batch_format="pandas"),
-        "user_id", lookup).to_pandas()
-        .groupby("version", as_index=False).sum())
-    return (out.astype({"version": "int64", "n_clicks": "int64"})
-               .sort_values("version").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(
+        ev.map_batches(pre, batch_format="pandas"), "user_id", lookup),
+        "version")

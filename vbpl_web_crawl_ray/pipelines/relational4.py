@@ -27,7 +27,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
-from ..stages.shuffle import broadcast_get
+from ..stages.shuffle import broadcast_get, reduce_partials
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -117,24 +117,18 @@ def q_promo_revenue_share(sf_dir: str) -> pd.DataFrame:
         u4 = ep * (100 - d)
         is_promo = df["l_partkey"].isin(broadcast_get(promo)).to_numpy()
         month = df["l_shipdate"].dt.to_period("M").dt.to_timestamp()
-        return (pd.DataFrame({"month": month,
-                              "promo_u4": np.where(is_promo, u4, 0),
-                              "total_u4": u4})
-                .groupby("month", as_index=False).sum())
+        return pd.DataFrame({"month": month,
+                             "promo_u4": np.where(is_promo, u4, 0),
+                             "total_u4": u4})
 
-    parts = (_read(sf_dir, "lineitem",
-                   ["l_partkey", "l_shipdate",
-                    "l_extendedprice", "l_discount"])
-             .map_batches(partial, batch_format="pandas").to_pandas())
-    out = parts.groupby("month", as_index=False).sum()
-    share = round_half_away(
+    out = reduce_partials(_read(sf_dir, "lineitem",
+                                ["l_partkey", "l_shipdate",
+                                 "l_extendedprice", "l_discount"]),
+                          "month", partial)
+    out["promo_share_pct"] = round_half_away(
         (100.0 * out["promo_u4"].to_numpy(np.float64))
         / out["total_u4"].to_numpy(np.float64), 6)
-    return (pd.DataFrame({"month": out["month"],
-                          "promo_u4": out["promo_u4"].astype("int64"),
-                          "total_u4": out["total_u4"].astype("int64"),
-                          "promo_share_pct": share})
-            .sort_values("month").reset_index(drop=True))
+    return out
 
 
 def q_idle_balance_by_nation(sf_dir: str) -> pd.DataFrame:
@@ -178,17 +172,10 @@ def q_idle_balance_by_nation(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         keep = (cents * n_pos > sum_pos) \
             & ~df["c_custkey"].isin(broadcast_get(href)).to_numpy()
-        d = df[keep]
-        return (pd.DataFrame({"c_nationkey": d["c_nationkey"].to_numpy(),
-                              "cents": cents[keep], "n": np.int64(1)})
-                .groupby("c_nationkey", as_index=False).sum())
+        return pd.DataFrame({"c_nationkey": df["c_nationkey"].to_numpy()[keep],
+                             "cents": cents[keep], "n": np.int64(1)})
 
-    parts = cust.map_batches(idle, batch_format="pandas").to_pandas()
-    if parts.empty:  # fully-filtered store: keep the schema stable
-        parts = pd.DataFrame({"c_nationkey": pd.Series([], dtype="int64"),
-                              "cents": pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64")})
-    agg = parts.groupby("c_nationkey", as_index=False).sum()
+    agg = reduce_partials(cust, "c_nationkey", idle)
     nation = base_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
     return (pd.DataFrame({"nation": agg["c_nationkey"].map(nmap),
@@ -214,15 +201,11 @@ def q_rfm_segments(sf_dir: str) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
-        return (pd.DataFrame({"c_custkey": df["o_custkey"].to_numpy(),
-                              "f": np.int64(1), "m": cents,
-                              "r": df["o_orderdate"].to_numpy()})
-                .groupby("c_custkey", as_index=False)
-                .agg(f=("f", "sum"), m=("m", "sum"), r=("r", "max")))
+        return pd.DataFrame({"c_custkey": df["o_custkey"].to_numpy(),
+                             "f": np.int64(1), "m": cents,
+                             "r": df["o_orderdate"].to_numpy()})
 
-    parts = o.map_batches(partial, batch_format="pandas").to_pandas()
-    c = parts.groupby("c_custkey", as_index=False).agg(
-        f=("f", "sum"), m=("m", "sum"), r=("r", "max"))
+    c = reduce_partials(o, "c_custkey", partial, agg={"r": "max"})
 
     def ntile3(order_key: np.ndarray, custkey: np.ndarray) -> np.ndarray:
         n = len(order_key)
@@ -263,11 +246,9 @@ def q_yoy_growth(sf_dir: str) -> pd.DataFrame:
         cents = np.round(df["o_totalprice"].to_numpy() * 100.0) \
             .astype(np.int64)
         month = df["o_orderdate"].dt.to_period("M").dt.to_timestamp()
-        return (pd.DataFrame({"month": month, "cents": cents})
-                .groupby("month", as_index=False).sum())
+        return pd.DataFrame({"month": month, "cents": cents})
 
-    parts = o.map_batches(partial, batch_format="pandas").to_pandas()
-    m = parts.groupby("month", as_index=False).sum()
+    m = reduce_partials(o, "month", partial)
     idx = (m["month"].dt.year * 12 + m["month"].dt.month).to_numpy(np.int64)
     cents = dict(zip(idx, m["cents"].to_numpy(np.int64)))
     keep = np.array([i - 12 in cents for i in idx])
@@ -371,18 +352,13 @@ def q_above_customer_avg_orders(sf_dir: str) -> pd.DataFrame:
         nn = g["o_custkey"].map(st["size"]).to_numpy(np.int64)
         ss = g["o_custkey"].map(st["sum"]).to_numpy(np.int64)
         above = g["cents"].to_numpy(np.int64) * nn > ss
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "o_orderpriority": g["o_orderpriority"].to_numpy(),
-            "n_above": above.astype(np.int64), "n": np.int64(1)})
-            .groupby("o_orderpriority", as_index=False).sum())
+            "n_above": above.astype(np.int64), "n_orders": np.int64(1)})
 
-    out = (bucketed_group_apply(
-        o.map_batches(pre, batch_format="pandas"), "o_custkey", gate)
-        .to_pandas()
-        .groupby("o_orderpriority", as_index=False).sum())
-    return (out.astype({"n_above": "int64", "n": "int64"})
-               .rename(columns={"n": "n_orders"})
-               .sort_values("o_orderpriority").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(
+        o.map_batches(pre, batch_format="pandas"), "o_custkey", gate),
+        "o_orderpriority")
 
 
 def q_supplier_part_breadth(sf_dir: str, min_parts: int = 5) -> pd.DataFrame:
@@ -405,14 +381,17 @@ def q_supplier_part_breadth(sf_dir: str, min_parts: int = 5) -> pd.DataFrame:
               .rename(columns={"size": "n_parts"}))
         return c[c["n_parts"] >= min_parts]
 
-    qual = bucketed_group_apply(li.map_batches(pre, batch_format="pandas"),
-                                "l_suppkey", breadth).to_pandas()
     sup = base_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
     nation = base_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
-    s2n = dict(zip(sup["s_suppkey"], sup["s_nationkey"]))
-    qual["nation"] = qual["l_suppkey"].map(s2n).map(nmap)
-    out = qual.groupby("nation", as_index=False).agg(
-        n_suppliers=("l_suppkey", "size"), total_parts=("n_parts", "sum"))
-    return (out.astype({"n_suppliers": "int64", "total_parts": "int64"})
-               .sort_values("nation").reset_index(drop=True))
+    ref = ray.put((dict(zip(sup["s_suppkey"], sup["s_nationkey"])),
+                   dict(zip(nation["n_nationkey"], nation["n_name"]))))
+
+    def per_nation(df: pd.DataFrame) -> pd.DataFrame:
+        s2n, nmap = broadcast_get(ref)
+        return pd.DataFrame({"nation": df["l_suppkey"].map(s2n).map(nmap),
+                             "n_suppliers": np.int64(1),
+                             "total_parts": df["n_parts"]})
+
+    qual = bucketed_group_apply(li.map_batches(pre, batch_format="pandas"),
+                                "l_suppkey", breadth)
+    return reduce_partials(qual, "nation", per_nation)

@@ -31,7 +31,7 @@ import ray
 import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
-from ..stages.shuffle import broadcast_get
+from ..stages.shuffle import broadcast_get, reduce_partials
 
 _US_PER_DAY = 86_400_000_000
 
@@ -85,15 +85,11 @@ def q_late_ship_orders(sf_dir: str, grace_days: int = 60,
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         late = df["max_ship_us"].to_numpy(np.int64) \
             > df["o_date_us"].to_numpy(np.int64) + grace_us
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "o_orderpriority": df["o_orderpriority"].to_numpy(),
             "n_late": late.astype(np.int64), "n_orders": np.int64(1)})
-            .groupby("o_orderpriority", as_index=False).sum())
 
-    out = (withattr.map_batches(cells, batch_format="pandas").to_pandas()
-           .groupby("o_orderpriority", as_index=False).sum())
-    return (out.astype({"n_late": "int64", "n_orders": "int64"})
-               .sort_values("o_orderpriority").reset_index(drop=True))
+    return reduce_partials(withattr, "o_orderpriority", cells)
 
 
 def q_large_volume_orders(sf_dir: str, min_qty: int = 150,
@@ -165,27 +161,17 @@ def q_order_interarrival_stats(sf_dir: str) -> pd.DataFrame:
         gap_days = (us[1:] - us[:-1])[same] // _US_PER_DAY
         cks = ck[1:][same]
         seg = pd.Series(cks).map(broadcast_get(segref)).to_numpy()
-        return (pd.DataFrame({"segment": seg, "n_gaps": np.int64(1),
-                              "sum_gap_days": gap_days,
-                              "min_gap_days": gap_days,
-                              "max_gap_days": gap_days})
-                .groupby("segment", as_index=False)
-                .agg(n_gaps=("n_gaps", "sum"),
-                     sum_gap_days=("sum_gap_days", "sum"),
-                     min_gap_days=("min_gap_days", "min"),
-                     max_gap_days=("max_gap_days", "max")))
+        return pd.DataFrame({"segment": seg, "n_gaps": np.int64(1),
+                             "sum_gap_days": gap_days,
+                             "min_gap_days": gap_days,
+                             "max_gap_days": gap_days})
 
-    parts = bucketed_group_apply(orders, "o_custkey", gaps).to_pandas()
-    out = parts.groupby("segment", as_index=False).agg(
-        n_gaps=("n_gaps", "sum"), sum_gap_days=("sum_gap_days", "sum"),
-        min_gap_days=("min_gap_days", "min"),
-        max_gap_days=("max_gap_days", "max"))
-    out = out.astype({c: "int64" for c in
-                      ("n_gaps", "sum_gap_days", "min_gap_days",
-                       "max_gap_days")})
+    out = reduce_partials(bucketed_group_apply(orders, "o_custkey", gaps),
+                          "segment", agg={"min_gap_days": "min",
+                                          "max_gap_days": "max"})
     out["avg_gap_days"] = (out["sum_gap_days"].to_numpy(np.float64)
                            / out["n_gaps"].to_numpy(np.float64))
-    return out.sort_values("segment").reset_index(drop=True)
+    return out
 
 
 def q_benford_price_digits(sf_dir: str) -> pd.DataFrame:
@@ -202,15 +188,12 @@ def q_benford_price_digits(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         while (digit >= 10).any():  # <=12 vectorized passes, no float log
             digit = np.where(digit >= 10, digit // 10, digit)
-        return (pd.DataFrame({"digit": digit, "n_orders": np.int64(1)})
-                .groupby("digit", as_index=False).sum())
+        return pd.DataFrame({"digit": digit, "n_orders": np.int64(1)})
 
-    out = (o.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("digit", as_index=False).sum())
+    out = reduce_partials(o, "digit", partial)
     total = int(out["n_orders"].sum())
-    out = out.astype({"digit": "int64", "n_orders": "int64"})
     out["share"] = out["n_orders"].to_numpy(np.float64) / np.float64(total)
-    return out.sort_values("digit").reset_index(drop=True)
+    return out
 
 
 def q_rolling_median_value(sf_dir: str, window: int = 4) -> pd.DataFrame:
@@ -262,11 +245,8 @@ def q_topk_types_with_other(sf_dir: str, k: int = 3) -> pd.DataFrame:
     shuffles k+1 labels per month, never the raw type cardinality."""
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
-    totals = (ev.map_batches(
-        lambda df: (df.groupby("event_type", as_index=False).size()
-                      .rename(columns={"size": "n"})),
-        batch_format="pandas").to_pandas()
-        .groupby("event_type", as_index=False).sum())
+    totals = reduce_partials(ev, "event_type", lambda df: pd.DataFrame(
+        {"event_type": df["event_type"], "n": np.int64(1)}))
     top = set(totals.sort_values(["n", "event_type"],
                                  ascending=[False, True])
               .head(k)["event_type"])
@@ -276,15 +256,10 @@ def q_topk_types_with_other(sf_dir: str, k: int = 3) -> pd.DataFrame:
         month = df["ts"].dt.strftime("%Y-%m")
         label = df["event_type"].where(
             df["event_type"].isin(broadcast_get(topref)), "OTHER")
-        return (pd.DataFrame({"month": month, "event_type": label,
-                              "n_events": np.int64(1)})
-                .groupby(["month", "event_type"], as_index=False)
-                .sum())
+        return pd.DataFrame({"month": month, "event_type": label,
+                             "n_events": np.int64(1)})
 
-    out = (ev.map_batches(relabel, batch_format="pandas").to_pandas()
-           .groupby(["month", "event_type"], as_index=False).sum())
-    return (out.astype({"n_events": "int64"})
-               .sort_values(["month", "event_type"]).reset_index(drop=True))
+    return reduce_partials(ev, ["month", "event_type"], relabel)
 
 
 def q_discount_tax_grid(sf_dir: str) -> pd.DataFrame:
@@ -302,19 +277,13 @@ def q_discount_tax_grid(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         d = np.round(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
         t = np.round(df["l_tax"].to_numpy() * 100.0).astype(np.int64)
-        return (pd.DataFrame({"discount_pct": d, "tax_pct": t,
-                              "n_items": np.int64(1),
-                              "revenue_u6": cents * (100 - d) * (100 + t)})
-                .groupby(["discount_pct", "tax_pct"], as_index=False)
-                .sum())
+        return pd.DataFrame({"discount_pct": d, "tax_pct": t,
+                             "n_items": np.int64(1),
+                             "revenue_u6": cents * (100 - d) * (100 + t)})
 
-    out = (li.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby(["discount_pct", "tax_pct"], as_index=False).sum())
-    out = out.astype({c: "int64" for c in out.columns})
+    out = reduce_partials(li, ["discount_pct", "tax_pct"], partial)
     out["revenue"] = out["revenue_u6"].to_numpy(np.float64) / 1e6
-    return (out.drop(columns=["revenue_u6"])
-               .sort_values(["discount_pct", "tax_pct"])
-               .reset_index(drop=True))
+    return out.drop(columns=["revenue_u6"])
 
 
 def _orders_cust_nation_side(sf_dir: str, gate_bytes: int | None):
@@ -383,21 +352,16 @@ def q_nation_pair_trade(sf_dir: str,
                           probe=probe)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "supp_nation": df["supp_nation"].to_numpy(),
             "cust_nation": df["c_nationkey"].to_numpy(np.int64),
             "ship_year": df["ship_year"].to_numpy(np.int64),
             "n_items": df["n_items"].to_numpy(np.int64),
             "rev_u4": df["rev_u4"].to_numpy(np.int64)})
-            .groupby(["supp_nation", "cust_nation", "ship_year"],
-                     as_index=False).sum())
 
-    out = (withn.map_batches(cells, batch_format="pandas").to_pandas()
-           .groupby(["supp_nation", "cust_nation", "ship_year"],
-                    as_index=False).sum())
+    out = reduce_partials(withn, ["supp_nation", "cust_nation", "ship_year"],
+                          cells)
     out["cust_nation"] = out["cust_nation"].map(nmap)
-    out = out.astype({"ship_year": "int64", "n_items": "int64",
-                      "rev_u4": "int64"})
     out["revenue"] = out["rev_u4"].to_numpy(np.float64) / 1e4
     return (out.drop(columns=["rev_u4"])
                .sort_values(["supp_nation", "cust_nation", "ship_year"])
@@ -420,18 +384,13 @@ def q_top_supplier_quarter(sf_dir: str, start: str = "1996-01-01",
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         us = df["l_shipdate"].astype("int64").to_numpy()
         df = df[(us >= lo) & (us < hi)]
-        if df.empty:
-            return pd.DataFrame({"l_suppkey": pd.Series(dtype="int64"),
-                                 "rev_u4": pd.Series(dtype="int64")})
         cents = np.round(df["l_extendedprice"].to_numpy() * 100.0) \
             .astype(np.int64)
         d = np.round(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
-        return (pd.DataFrame({"l_suppkey": df["l_suppkey"].to_numpy(),
-                              "rev_u4": cents * (100 - d)})
-                .groupby("l_suppkey", as_index=False).sum())
+        return pd.DataFrame({"l_suppkey": df["l_suppkey"].to_numpy(),
+                             "rev_u4": cents * (100 - d)})
 
-    per_supp = (li.map_batches(partial, batch_format="pandas").to_pandas()
-                .groupby("l_suppkey", as_index=False).sum())
+    per_supp = reduce_partials(li, "l_suppkey", partial)
     best = int(per_supp["rev_u4"].max())
     win = per_supp[per_supp["rev_u4"] == best].copy()
     sup = base_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
@@ -462,19 +421,12 @@ def q_order_priority_migration(sf_dir: str) -> pd.DataFrame:
         ck = g["o_custkey"].to_numpy()
         pr = g["o_orderpriority"].to_numpy()
         same = ck[1:] == ck[:-1]
-        return (pd.DataFrame({"prev_priority": pr[:-1][same],
-                              "next_priority": pr[1:][same],
-                              "n": np.int64(1)})
-                .groupby(["prev_priority", "next_priority"],
-                         as_index=False).sum())
+        return pd.DataFrame({"prev_priority": pr[:-1][same],
+                             "next_priority": pr[1:][same],
+                             "n_transitions": np.int64(1)})
 
-    out = (bucketed_group_apply(orders, "o_custkey", trans).to_pandas()
-           .groupby(["prev_priority", "next_priority"], as_index=False)
-           .sum())
-    return (out.astype({"n": "int64"})
-               .rename(columns={"n": "n_transitions"})
-               .sort_values(["prev_priority", "next_priority"])
-               .reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(orders, "o_custkey", trans),
+                           ["prev_priority", "next_priority"])
 
 
 def q_repeat_purchase_rate(sf_dir: str) -> pd.DataFrame:
@@ -498,19 +450,16 @@ def q_repeat_purchase_rate(sf_dir: str) -> pd.DataFrame:
     def gate(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("o_custkey", as_index=False)["n"].sum()
         seg = c["o_custkey"].map(broadcast_get(segref)).to_numpy()
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "segment": seg, "n_customers": np.int64(1),
             "n_repeat": (c["n"].to_numpy() >= 2).astype(np.int64)})
-            .groupby("segment", as_index=False).sum())
 
-    out = (bucketed_group_apply(
+    out = reduce_partials(bucketed_group_apply(
         orders.map_batches(partial, batch_format="pandas"),
-        "o_custkey", gate).to_pandas()
-        .groupby("segment", as_index=False).sum())
-    out = out.astype({"n_customers": "int64", "n_repeat": "int64"})
+        "o_custkey", gate), "segment")
     out["repeat_share"] = (out["n_repeat"].to_numpy(np.float64)
                            / out["n_customers"].to_numpy(np.float64))
-    return out.sort_values("segment").reset_index(drop=True)
+    return out
 
 
 def q_linestatus_priority_counts(sf_dir: str,
@@ -553,15 +502,11 @@ def q_linestatus_priority_counts(sf_dir: str,
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         hi = df["o_high"].to_numpy(np.int64)
         n = df["n"].to_numpy(np.int64)
-        return (pd.DataFrame({
+        return pd.DataFrame({
             "l_linestatus": df["l_linestatus"].to_numpy(),
             "n_high": n * hi, "n_low": n * (1 - hi)})
-            .groupby("l_linestatus", as_index=False).sum())
 
-    out = (withh.map_batches(cells, batch_format="pandas").to_pandas()
-           .groupby("l_linestatus", as_index=False).sum())
-    return (out.astype({"n_high": "int64", "n_low": "int64"})
-               .sort_values("l_linestatus").reset_index(drop=True))
+    return reduce_partials(withh, "l_linestatus", cells)
 
 
 _Q19_BRANCHES = (
@@ -606,12 +551,9 @@ def q_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
                          "rev_u4": np.int64(int(u4[m].sum()))})
         return pd.DataFrame(rows)
 
-    out = (li.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("branch", as_index=False).sum())
-    out = out.astype({"n_items": "int64", "rev_u4": "int64"})
+    out = reduce_partials(li, "branch", partial)
     out["revenue"] = out["rev_u4"].to_numpy(np.float64) / 1e4
-    return (out.drop(columns=["rev_u4"])
-               .sort_values("branch").reset_index(drop=True))
+    return out.drop(columns=["rev_u4"])
 
 
 def q_sole_late_supplier(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -642,12 +584,11 @@ def q_sole_late_supplier(sf_dir: str, k: int = 20) -> pd.DataFrame:
         atmax = m[m["us"] == m["mx"]]
         per = atmax.groupby("l_orderkey")["l_suppkey"].agg(["nunique", "min"])
         sole = per[per["nunique"] == 1]["min"]
-        return (pd.DataFrame({"l_suppkey": sole.to_numpy(np.int64),
-                              "n_blamed": np.int64(1)})
-                .groupby("l_suppkey", as_index=False).sum())
+        return pd.DataFrame({"l_suppkey": sole.to_numpy(np.int64),
+                             "n_blamed": np.int64(1)})
 
-    per_supp = (bucketed_group_apply(li, "l_orderkey", blame).to_pandas()
-                .groupby("l_suppkey", as_index=False).sum())
+    per_supp = reduce_partials(bucketed_group_apply(li, "l_orderkey", blame),
+                               "l_suppkey")
     top = (per_supp.sort_values(["n_blamed", "l_suppkey"],
                                 ascending=[False, True]).head(k))
     sup = base_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
@@ -679,18 +620,11 @@ def q_zorder_clustering_audit(sf_dir: str, bits: int = 16,
         for i in range(bits):
             z |= ((x >> i) & 1) << (2 * i)
             z |= ((y >> i) & 1) << (2 * i + 1)
-        g = pd.DataFrame({"shard": z >> shard_shift, "n_orders": np.int64(1),
-                          "min_z": z, "max_z": z})
-        return g.groupby("shard", as_index=False).agg(
-            n_orders=("n_orders", "sum"), min_z=("min_z", "min"),
-            max_z=("max_z", "max"))
+        return pd.DataFrame({"shard": z >> shard_shift,
+                             "n_orders": np.int64(1), "min_z": z, "max_z": z})
 
-    out = (o.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("shard", as_index=False).agg(
-               n_orders=("n_orders", "sum"), min_z=("min_z", "min"),
-               max_z=("max_z", "max")))
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values("shard").reset_index(drop=True))
+    return reduce_partials(o, "shard", partial,
+                           agg={"min_z": "min", "max_z": "max"})
 
 
 def q_priority_month_bitmap(sf_dir: str) -> pd.DataFrame:
@@ -767,23 +701,19 @@ def q_customer_order_distribution(sf_dir: str) -> pd.DataFrame:
 
     def coc(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("o_custkey", as_index=False)["n"].sum()
-        return (c.groupby("n", as_index=False).size()
-                 .rename(columns={"n": "n_orders", "size": "n_customers"})
-                 .assign(n_cust_seen=lambda d: d["n_customers"]))
+        return pd.DataFrame({"n_orders": c["n"].to_numpy(),
+                             "n_customers": np.int64(1)})
 
-    parts = bucketed_group_apply(
+    out = reduce_partials(bucketed_group_apply(
         orders.map_batches(partial, batch_format="pandas"),
-        "o_custkey", coc).to_pandas()
-    out = (parts.groupby("n_orders", as_index=False)
-                ["n_customers"].sum())
+        "o_custkey", coc), "n_orders")
     n_total = len(base_pandas(sf_dir, "customer", columns=["c_custkey"]))
     n_zero = n_total - int(out["n_customers"].sum())
     if n_zero > 0:
         out = pd.concat([pd.DataFrame({"n_orders": [0],
                                        "n_customers": [n_zero]}), out],
                         ignore_index=True)
-    return (out.astype({"n_orders": "int64", "n_customers": "int64"})
-               .sort_values("n_orders").reset_index(drop=True))
+    return out
 
 
 def q_small_order_revenue(sf_dir: str) -> pd.DataFrame:
@@ -800,12 +730,10 @@ def q_small_order_revenue(sf_dir: str) -> pd.DataFrame:
 
     def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
         qty = np.round(df["l_quantity"].to_numpy()).astype(np.int64)
-        return (pd.DataFrame({"p": df["l_partkey"].to_numpy(),
-                              "n": np.int64(1), "s": qty})
-                .groupby("p", as_index=False).sum())
+        return pd.DataFrame({"p": df["l_partkey"].to_numpy(),
+                             "n": np.int64(1), "s": qty})
 
-    parts = (li.map_batches(qty_partial, batch_format="pandas").to_pandas()
-             .groupby("p", as_index=False).sum())
+    parts = reduce_partials(li, "p", qty_partial)
     nref = ray.put(dict(zip(parts["p"], parts["n"])))
     sref = ray.put(dict(zip(parts["p"], parts["s"])))
 
@@ -859,13 +787,10 @@ def q_nation_share_of_region(sf_dir: str,
                           probe=probe)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        return (pd.DataFrame({
-            "nk": df["c_nationkey"].to_numpy(np.int64),
-            "u4": df["u4"].to_numpy(np.int64)})
-            .groupby("nk", as_index=False).sum())
+        return pd.DataFrame({"nk": df["c_nationkey"].to_numpy(np.int64),
+                             "u4": df["u4"].to_numpy(np.int64)})
 
-    per_nation = (withn.map_batches(cells, batch_format="pandas")
-                  .to_pandas().groupby("nk", as_index=False).sum())
+    per_nation = reduce_partials(withn, "nk", cells)
     per_nation["nation"] = per_nation["nk"].map(
         dict(zip(nat["n_nationkey"], nat["n_name"])))
     rk = per_nation["nk"].map(
@@ -1038,13 +963,11 @@ def q_local_supplier_volume(sf_dir: str, region: str = "ASIA",
         df = df.dropna(subset=["c_nationkey"])
         df = df[df["c_nationkey"].to_numpy(np.int64)
                 == df["supp_nation"].to_numpy(np.int64)]
-        return (pd.DataFrame({"n_nationkey": df["supp_nation"]
-                              .to_numpy(np.int64),
-                              "rev_u4": df["rev_u4"].to_numpy(np.int64)})
-                .groupby("n_nationkey", as_index=False).sum())
+        return pd.DataFrame({"n_nationkey": df["supp_nation"]
+                             .to_numpy(np.int64),
+                             "rev_u4": df["rev_u4"].to_numpy(np.int64)})
 
-    out = (withn.map_batches(local_cells, batch_format="pandas").to_pandas()
-           .groupby("n_nationkey", as_index=False).sum())
+    out = reduce_partials(withn, "n_nationkey", local_cells)
     nmap = dict(zip(nat["n_nationkey"], nat["n_name"]))
     out["n_name"] = out["n_nationkey"].map(nmap)
     out["revenue"] = out["rev_u4"].to_numpy(np.float64) / 1e4
@@ -1143,19 +1066,15 @@ def q_idle_rich_customers(sf_dir: str, recent: str = "1999-01-01",
 
     def idle_cells(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["has_order"].isna()]
-        return (pd.DataFrame({"c_nationkey": df["c_nationkey"]
-                              .to_numpy(np.int64),
-                              "numcust": np.int64(1),
-                              "bal_cents": df["bal_cents"]
-                              .to_numpy(np.int64)})
-                .groupby("c_nationkey", as_index=False).sum())
+        return pd.DataFrame({"c_nationkey": df["c_nationkey"]
+                             .to_numpy(np.int64),
+                             "numcust": np.int64(1),
+                             "bal_cents": df["bal_cents"].to_numpy(np.int64)})
 
-    out = (flagged.map_batches(idle_cells, batch_format="pandas")
-           .to_pandas().groupby("c_nationkey", as_index=False).sum())
+    out = reduce_partials(flagged, "c_nationkey", idle_cells)
     nat = base_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     out["n_name"] = out["c_nationkey"].map(
         dict(zip(nat["n_nationkey"], nat["n_name"])))
-    out = out.astype({"numcust": "int64", "bal_cents": "int64"})
     out["totacctbal"] = out["bal_cents"].to_numpy(np.float64) / 100.0
     return (out[["n_name", "numcust", "totacctbal"]]
             .sort_values("n_name").reset_index(drop=True))

@@ -34,7 +34,7 @@ import pandas as pd
 
 from ..functions.hashing import md5_hash64, md5_hex_prefix
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +232,9 @@ def q_cdc_snapshot_diff(sf_dir: str) -> pd.DataFrame:
                       np.where(new.isna(), "deleted",
                                np.where(old == new, "unchanged",
                                         "changed")))
-        d = pd.DataFrame({"change_type": ct,
-                          "key": w.index.to_numpy(np.int64)})
-        agg = d.groupby("change_type", as_index=False).agg(
-            n_rows=("key", "size"), key_sum=("key", "sum"))
-        return agg
+        return pd.DataFrame({"change_type": ct, "n_rows": np.int64(1),
+                             "key_sum": w.index.to_numpy(np.int64)})
 
-    out = (bucketed_group_apply(
+    return reduce_partials(bucketed_group_apply(
         orders.map_batches(explode, batch_format="pandas"),
-        "o_orderkey", classify)
-        .to_pandas()
-        .groupby("change_type", as_index=False).sum())
-    return (out.astype({"n_rows": "int64", "key_sum": "int64"})
-               .sort_values("change_type").reset_index(drop=True))
+        "o_orderkey", classify), "change_type")

@@ -33,7 +33,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 
 GAP_US = 1800 * 1_000_000            # 30-minute session gap, int64 micros
 SEARCH_TERMS = ("spark", "window", "merge")
@@ -82,11 +82,8 @@ def q_funnel_conversion(sf_dir: str) -> pd.DataFrame:
             "stage": ["1_view", "2_click", "3_purchase"],
             "n_users": [len(t1), len(t2), len(t3)]})
 
-    out = (bucketed_group_apply(ev, "user_id", stages)
-           .to_pandas()
-           .groupby("stage", as_index=False)["n_users"].sum())
-    return (out.astype({"n_users": "int64"})
-               .sort_values("stage").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(ev, "user_id", stages),
+                           "stage")
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +179,13 @@ def q_zorder_layout_stats(sf_dir: str) -> pd.DataFrame:
         cents = cents_of(df)
         y = (cents - lo) * 64 // span
         z = morton_interleave(x, y)
-        d = pd.DataFrame({"tile": z >> Z_TILE_SHIFT, "x": x, "y": y})
-        return d.groupby("tile", as_index=False).agg(
-            n_parts=("x", "size"), x_min=("x", "min"), x_max=("x", "max"),
-            y_min=("y", "min"), y_max=("y", "max"))
+        return pd.DataFrame({"tile": z >> Z_TILE_SHIFT,
+                             "n_parts": np.int64(1), "x_min": x, "x_max": x,
+                             "y_min": y, "y_max": y})
 
-    parts_out = (parts.map_batches(tile_stats, batch_format="pandas")
-                 .to_pandas())
-    out = parts_out.groupby("tile", as_index=False).agg(
-        n_parts=("n_parts", "sum"), x_min=("x_min", "min"),
-        x_max=("x_max", "max"), y_min=("y_min", "min"),
-        y_max=("y_max", "max"))
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values("tile").reset_index(drop=True))
+    return reduce_partials(parts, "tile", tile_stats,
+                           agg={"x_min": "min", "x_max": "max",
+                                "y_min": "min", "y_max": "max"})
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +225,7 @@ def q_session_paths(sf_dir: str) -> pd.DataFrame:
         rank = d.groupby("sid").cumcount()
         head = d[rank < 5]
         p = head.groupby("sid")["e"].agg(">".join)
-        return (p.value_counts().rename_axis("path")
-                 .reset_index(name="n_sessions"))
+        return pd.DataFrame({"path": p.to_numpy(object),
+                             "n_sessions": np.int64(1)})
 
-    out = (bucketed_group_apply(ev, "user_id", paths)
-           .to_pandas()
-           .groupby("path", as_index=False)["n_sessions"].sum())
-    return (out.astype({"n_sessions": "int64"})
-               .sort_values("path").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(ev, "user_id", paths), "path")

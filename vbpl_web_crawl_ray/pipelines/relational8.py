@@ -36,7 +36,7 @@ import pandas as pd
 
 from ..functions.hashing import md5_hex_prefix
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 
 DEBOUNCE_US = 4 * 3600 * 1_000_000     # 4-hour debounce window
 MERKLE_LEAVES = 64                     # 4-ary tree: 64 -> 16 -> 4 -> 1
@@ -64,18 +64,14 @@ def q_debounce_events(sf_dir: str) -> pd.DataFrame:
         keep = np.ones(len(d), dtype=bool)
         if len(d) > 1:
             keep[1:] = (u[1:] != u[:-1]) | (t[1:] - t[:-1] > DEBOUNCE_US)
-        out = pd.DataFrame({"event_type": d["event_type"].to_numpy(object),
-                            "kept": keep.astype(np.int64)})
-        return out.groupby("event_type", as_index=False).agg(
-            n_kept=("kept", "sum"), n_total=("kept", "size"))
+        return pd.DataFrame({"event_type": d["event_type"].to_numpy(object),
+                             "n_kept": keep.astype(np.int64),
+                             "n_total": np.int64(1)})
 
-    out = (bucketed_group_apply(ev, "user_id", debounce)
-           .to_pandas()
-           .groupby("event_type", as_index=False).sum())
+    out = reduce_partials(bucketed_group_apply(ev, "user_id", debounce),
+                          "event_type")
     out["n_dropped"] = out["n_total"] - out["n_kept"]
-    out = out[["event_type", "n_kept", "n_dropped"]]
-    return (out.astype({"n_kept": "int64", "n_dropped": "int64"})
-               .sort_values("event_type").reset_index(drop=True))
+    return out[["event_type", "n_kept", "n_dropped"]]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 
 RRF_K = 60
 RRF_TOP = 20
@@ -47,14 +47,9 @@ def _ranked(ds, key_col: str, id_col: str):
     assumption is bounded key cardinality (here: n_chars / token
     counts / event counts), the usual case for fused rank keys."""
 
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df[key_col].value_counts()
-        return pd.DataFrame({key_col: vc.index.to_numpy(np.int64),
-                             "n": vc.to_numpy(np.int64)})
-
-    hist = (ds.map_batches(counts, batch_format="pandas")
-            .to_pandas().groupby(key_col, as_index=False)["n"].sum()
-            .sort_values(key_col, ascending=False))
+    hist = reduce_partials(ds, key_col, lambda df: pd.DataFrame(
+        {key_col: df[key_col].to_numpy(np.int64), "n": np.int64(1)})
+    ).sort_values(key_col, ascending=False)
     offs = dict(zip(hist[key_col].to_numpy(np.int64),
                     np.concatenate([[0], np.cumsum(
                         hist["n"].to_numpy(np.int64))[:-1]])))
@@ -138,13 +133,9 @@ def q_gini_user_activity(sf_dir: str) -> pd.DataFrame:
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         vc = g["user_id"].value_counts()          # whole-user in-bucket
-        cc = vc.value_counts()                    # count-of-counts
-        return pd.DataFrame({"x": cc.index.to_numpy(np.int64),
-                             "f": cc.to_numpy(np.int64)})
+        return pd.DataFrame({"x": vc.to_numpy(np.int64), "f": np.int64(1)})
 
-    hist = (bucketed_group_apply(ev, "user_id", per_user)
-            .to_pandas().groupby("x", as_index=False)["f"].sum()
-            .sort_values("x"))
+    hist = reduce_partials(bucketed_group_apply(ev, "user_id", per_user), "x")
     x = hist["x"].to_numpy(np.int64)
     f = hist["f"].to_numpy(np.int64)
     n = int(f.sum())
@@ -184,8 +175,5 @@ def q_funnel_windowed(sf_dir: str) -> pd.DataFrame:
             "stage": ["1_view", "2_click_72h", "3_purchase_72h"],
             "n_users": [len(t1), len(t2), len(t3)]})
 
-    out = (bucketed_group_apply(ev, "user_id", stages)
-           .to_pandas()
-           .groupby("stage", as_index=False)["n_users"].sum())
-    return (out.astype({"n_users": "int64"})
-               .sort_values("stage").reset_index(drop=True))
+    return reduce_partials(bucketed_group_apply(ev, "user_id", stages),
+                           "stage")

@@ -20,7 +20,7 @@ import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..stages.joins import (bloom_anti_join, bloom_semi_join,
                             build_key_bloom_dist, salted_group_agg)
-from ..stages.shuffle import bucketed_group_apply
+from ..stages.shuffle import bucketed_group_apply, reduce_partials
 from ..sources.tablecache import base_dataset
 
 
@@ -75,13 +75,11 @@ def q_bloom_semi_counts(sf_dir: str) -> pd.DataFrame:
         keys = g.loc[g["side"] == 1, "k"].unique()
         li_rows = g[g["side"] == 0]
         hit = li_rows[li_rows["k"].isin(keys)]
-        out = hit.groupby("rf", as_index=False).size()
-        return out.rename(columns={"rf": "l_returnflag", "size": "n"})
+        return pd.DataFrame({"l_returnflag": hit["rf"], "n": np.int64(1)})
 
-    parts = bucketed_group_apply(s.union(u), "k", count_in_bucket).to_pandas()
-    out = parts.groupby("l_returnflag", as_index=False)["n"].sum()
-    return (out.astype({"n": "int64"})
-               .sort_values("l_returnflag").reset_index(drop=True))
+    return reduce_partials(
+        bucketed_group_apply(s.union(u), "k", count_in_bucket),
+        "l_returnflag")
 
 
 def q_bloom_anti_users(sf_dir: str) -> pd.DataFrame:
@@ -171,15 +169,12 @@ def q_full_outer_user_counts(sf_dir: str) -> pd.DataFrame:
 
     def count_sides(g: pd.DataFrame) -> pd.DataFrame:
         bits = g.drop_duplicates(["k", "side"]).groupby("k")["side"].sum()
-        vc = bits.value_counts()
         label = {1: "customer_only", 2: "error_only", 3: "both"}
-        return pd.DataFrame({"side": [label[int(v)] for v in vc.index],
-                             "n": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"side": [label[int(v)] for v in bits],
+                             "n": np.int64(1)})
 
-    parts = bucketed_group_apply(cust.union(err), "k", count_sides).to_pandas()
-    out = parts.groupby("side", as_index=False)["n"].sum()
-    return (out.astype({"n": "int64"})
-               .sort_values("side").reset_index(drop=True))
+    return reduce_partials(
+        bucketed_group_apply(cust.union(err), "k", count_sides), "side")
 
 
 def exact_quantiles_selection(ds: rd.Dataset, col: str,
@@ -222,8 +217,7 @@ def exact_quantiles_selection(ds: rd.Dataset, col: str,
         nz = np.nonzero(cnt)[0]
         return pd.DataFrame({"bin": nz, "c": cnt[nz]})
 
-    h = (ds.map_batches(hist_partial, batch_format="pandas")
-           .to_pandas().groupby("bin")["c"].sum())
+    h = reduce_partials(ds, "bin", hist_partial).set_index("bin")["c"]
     full = np.zeros(B, np.int64)
     full[h.index.to_numpy()] = h.to_numpy()
     cum = np.cumsum(full)                         # rows in bins <= i
@@ -338,14 +332,9 @@ def q_length_quartile_counts(sf_dir: str) -> pd.DataFrame:
     def classify(df: pd.DataFrame) -> pd.DataFrame:
         x = df["n_chars"].to_numpy(np.int64)
         cls = 1 + (x > q1).astype(np.int64) + (x > q2) + (x > q3)
-        return (pd.DataFrame({"quartile": cls})
-                .groupby("quartile", as_index=False)
-                .size().rename(columns={"size": "n_docs"}))
+        return pd.DataFrame({"quartile": cls, "n_docs": np.int64(1)})
 
-    parts = docs.map_batches(classify, batch_format="pandas").to_pandas()
-    out = parts.groupby("quartile", as_index=False)["n_docs"].sum()
-    return (out.astype({"quartile": "int64", "n_docs": "int64"})
-               .sort_values("quartile").reset_index(drop=True))
+    return reduce_partials(docs, "quartile", classify)
 
 
 def q_key_skew_stats(sf_dir: str) -> pd.DataFrame:
@@ -363,15 +352,13 @@ def q_key_skew_stats(sf_dir: str) -> pd.DataFrame:
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("user_id", as_index=False)["n"].sum()
         # count-of-counts: one row per distinct per-user count
-        return (c.groupby("n", as_index=False)
-                 .size().rename(columns={"size": "keys"}))
+        return pd.DataFrame({"n": c["n"].to_numpy(), "keys": np.int64(1)})
 
-    hist = bucketed_group_apply(
+    hist = reduce_partials(bucketed_group_apply(
         ev, "user_id", per_user,
         partial_fn=lambda df: (df.groupby("user_id", as_index=False)
-                                 .size().rename(columns={"size": "n"}))
-    ).to_pandas().groupby("n", as_index=False)["keys"].sum() \
-     .sort_values("n").reset_index(drop=True)
+                                 .size().rename(columns={"size": "n"}))),
+        "n")
 
     cnt = hist["n"].to_numpy(np.int64)
     keys = hist["keys"].to_numpy(np.int64)
@@ -491,19 +478,15 @@ def q_table_profile(sf_dir: str) -> pd.DataFrame:
 
     def profile(g: pd.DataFrame) -> pd.DataFrame:
         vals = g[g["kv"].str.len() > g["col"].str.len() + 1]
-        d = (vals.drop_duplicates("kv")
-                 .groupby("col", as_index=False)
-                 .size().rename(columns={"size": "n_distinct"}))
-        n = (g.groupby("col", as_index=False)["nulls"].sum()
-              .rename(columns={"nulls": "n_nulls"}))
-        return d.merge(n, on="col", how="outer").fillna(0)
+        d = vals.drop_duplicates("kv")
+        return pd.concat([
+            pd.DataFrame({"col": d["col"], "n_distinct": np.int64(1),
+                          "n_nulls": np.int64(0)}),
+            pd.DataFrame({"col": g["col"], "n_distinct": np.int64(0),
+                          "n_nulls": g["nulls"].to_numpy(np.int64)})])
 
-    parts = bucketed_group_apply(ds, "kv", profile,
-                                 partial_fn=partial).to_pandas()
-    out = parts.groupby("col", as_index=False).agg(
-        n_distinct=("n_distinct", "sum"), n_nulls=("n_nulls", "sum"))
-    return (out.astype({"n_distinct": "int64", "n_nulls": "int64"})
-               .sort_values("col").reset_index(drop=True))
+    return reduce_partials(
+        bucketed_group_apply(ds, "kv", profile, partial_fn=partial), "col")
 
 
 def q_consistent_hash_shards(sf_dir: str, n_shards: int = 16) -> pd.DataFrame:
@@ -523,21 +506,14 @@ def q_consistent_hash_shards(sf_dir: str, n_shards: int = 16) -> pd.DataFrame:
         shard = np.array([int(hashlib.md5(str(i).encode())
                               .hexdigest()[:4], 16) % n_shards
                           for i in df["doc_id"]], dtype=np.int64)
-        g = pd.DataFrame({"shard": shard,
-                          "n_docs": np.int64(1),
-                          "sum_chars": df["n_chars"].to_numpy(np.int64),
-                          "min_doc": df["doc_id"].to_numpy(np.int64),
-                          "max_doc": df["doc_id"].to_numpy(np.int64)})
-        return g.groupby("shard", as_index=False).agg(
-            n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum"),
-            min_doc=("min_doc", "min"), max_doc=("max_doc", "max"))
+        return pd.DataFrame({"shard": shard,
+                             "n_docs": np.int64(1),
+                             "sum_chars": df["n_chars"].to_numpy(np.int64),
+                             "min_doc": df["doc_id"].to_numpy(np.int64),
+                             "max_doc": df["doc_id"].to_numpy(np.int64)})
 
-    parts = docs.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("shard", as_index=False).agg(
-        n_docs=("n_docs", "sum"), sum_chars=("sum_chars", "sum"),
-        min_doc=("min_doc", "min"), max_doc=("max_doc", "max"))
-    return (out.astype({c: "int64" for c in out.columns})
-               .sort_values("shard").reset_index(drop=True))
+    return reduce_partials(docs, "shard", partial,
+                           agg={"min_doc": "min", "max_doc": "max"})
 
 
 def q_scan_pruning_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
@@ -556,16 +532,11 @@ def q_scan_pruning_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         us = df["o_orderdate"].astype("int64").to_numpy()
         blk = df["o_orderkey"].to_numpy(np.int64) // block_rows
-        return (pd.DataFrame({"block": blk, "mn": us, "mx": us,
-                              "n_rows": np.int64(1)})
-                .groupby("block", as_index=False)
-                .agg(mn=("mn", "min"), mx=("mx", "max"),
-                     n_rows=("n_rows", "sum")))
+        return pd.DataFrame({"block": blk, "mn": us, "mx": us,
+                             "n_rows": np.int64(1)})
 
-    blocks = (o.map_batches(partial, batch_format="pandas").to_pandas()
-              .groupby("block", as_index=False)
-              .agg(mn=("mn", "min"), mx=("mx", "max"),
-                   n_rows=("n_rows", "sum")))
+    blocks = reduce_partials(o, "block", partial,
+                             agg={"mn": "min", "mx": "max"})
     pruned = (blocks["mx"] < lo) | (blocks["mn"] >= hi)
     full = (blocks["mn"] >= lo) & (blocks["mx"] < hi)
     partial_read = ~(pruned | full)
@@ -590,12 +561,9 @@ def q_compaction_plan(sf_dir: str, target_rows: int = 5000) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         month = df["o_orderdate"].dt.strftime("%Y-%m")
-        return (pd.DataFrame({"month": month, "n_rows": np.int64(1)})
-                .groupby("month", as_index=False).sum())
+        return pd.DataFrame({"month": month, "n_rows": np.int64(1)})
 
-    months = (o.map_batches(partial, batch_format="pandas").to_pandas()
-              .groupby("month", as_index=False).sum()
-              .sort_values("month").reset_index(drop=True))
+    months = reduce_partials(o, "month", partial)
     prior = months["n_rows"].cumsum().shift(fill_value=0).to_numpy(np.int64)
     months["out_group"] = prior // target_rows
     out = months.groupby("out_group", as_index=False).agg(
@@ -626,17 +594,12 @@ def q_partitioned_roundtrip_counts(sf_dir: str) -> pd.DataFrame:
 
     back = rd.read_parquet(out_dir)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("o_orderpriority", as_index=False).size()
-                  .rename(columns={"size": "n_rows"}))
-
-    out = (back.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("o_orderpriority", as_index=False).sum())
+    out = reduce_partials(back, "o_orderpriority", lambda df: pd.DataFrame(
+        {"o_orderpriority": df["o_orderpriority"], "n_rows": np.int64(1)}))
     # hive partition values ride URL-encoded in the directory name
     from urllib.parse import unquote
     out["o_orderpriority"] = out["o_orderpriority"].astype(str).map(unquote)
-    return (out.astype({"n_rows": "int64"})
-               .sort_values("o_orderpriority").reset_index(drop=True))
+    return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
 def q_time_rollup_pyramid(sf_dir: str) -> pd.DataFrame:
@@ -655,12 +618,10 @@ def q_time_rollup_pyramid(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         day = df["o_orderdate"].astype("int64").to_numpy() \
             // 86_400_000_000
-        return (pd.DataFrame({"day": day, "cents": cents,
-                              "n_orders": np.int64(1)})
-                .groupby("day", as_index=False).sum())
+        return pd.DataFrame({"day": day, "cents": cents,
+                             "n_orders": np.int64(1)})
 
-    days = (o.map_batches(per_day, batch_format="pandas").to_pandas()
-            .groupby("day", as_index=False).sum())
+    days = reduce_partials(o, "day", per_day)
     d = days["day"].to_numpy(np.int64)
     stamp = pd.to_datetime(d * 86_400_000_000, unit="us")
     week = d - ((d + 3) % 7)            # ISO Monday (epoch day 0 = Thu)
@@ -705,12 +666,7 @@ def q_fair_crawl_budget(sf_dir: str, budget_div: int = 3) -> pd.DataFrame:
     restatement is bit-exact."""
     ev = base_dataset(sf_dir, "events", columns=["user_id"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("user_id", as_index=False).size()
-                  .rename(columns={"size": "c"}))
-
-    d = (ev.map_batches(partial, batch_format="pandas").to_pandas()
-         .groupby("user_id", as_index=False).sum()
+    d = (reduce_partials(ev, "user_id", lambda df: df.assign(c=np.int64(1)))
          .sort_values(["c", "user_id"]).reset_index(drop=True))
     c = d["c"].to_numpy(np.int64)
     n = len(c)
@@ -765,18 +721,14 @@ def q_rendezvous_routing(sf_dir: str) -> pd.DataFrame:
         masked = scores.copy()
         masked[:, _HRW_NODES.index(_HRW_LEAVER)] = 0
         after = masked.argmax(axis=1)
-        g = pd.DataFrame({"node": np.array(_HRW_NODES)[full],
-                          "n_before": np.int64(1)})
-        b = g.groupby("node", as_index=False).sum()
-        a = (pd.DataFrame({"node": np.array(_HRW_NODES)[after],
-                           "n_after": np.int64(1)})
-             .groupby("node", as_index=False).sum())
-        return b.merge(a, on="node", how="outer").fillna(0)
+        nodes = np.array(_HRW_NODES)
+        return pd.concat([
+            pd.DataFrame({"node": nodes[full], "n_before": np.int64(1),
+                          "n_after": np.int64(0)}),
+            pd.DataFrame({"node": nodes[after], "n_before": np.int64(0),
+                          "n_after": np.int64(1)})])
 
-    out = (docs.map_batches(route, batch_format="pandas").to_pandas()
-           .groupby("node", as_index=False).sum())
-    out = out.astype({"n_before": "int64", "n_after": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
+    return reduce_partials(docs, "node", route)
 
 
 def q_store_time_travel(sf_dir: str) -> pd.DataFrame:
@@ -812,14 +764,8 @@ def q_store_time_travel(sf_dir: str) -> pd.DataFrame:
         for f in glob.glob(f"{root}/round={r}/*.parquet")
     ))   # manifest filter: increments <= 2 only, round 3 never opens
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("o_orderpriority", as_index=False).size()
-                  .rename(columns={"size": "n_orders"}))
-
-    out = (snapshot.map_batches(partial, batch_format="pandas").to_pandas()
-           .groupby("o_orderpriority", as_index=False).sum())
-    return (out.astype({"n_orders": "int64"})
-               .sort_values("o_orderpriority").reset_index(drop=True))
+    return reduce_partials(snapshot, "o_orderpriority", lambda df: pd.DataFrame(
+        {"o_orderpriority": df["o_orderpriority"], "n_orders": np.int64(1)}))
 
 
 def q_delta_encoding_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
@@ -831,8 +777,6 @@ def q_delta_encoding_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
     never need their neighbour), the byte class is a pure integer
     threshold chain, and only (class, n) cells leave. The oracle states
     the same LAG-with-base-default and thresholds."""
-    from ..stages.shuffle import bucketed_group_apply
-
     o = _read(sf_dir, "orders", ["o_orderkey"])
 
     def classes(g: pd.DataFrame) -> pd.DataFrame:
@@ -850,18 +794,14 @@ def q_delta_encoding_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
                   + (delta >= 1 << 14).astype(np.int64)
                   + (delta >= 1 << 21).astype(np.int64)
                   + (delta >= 1 << 28).astype(np.int64))
-        return (pd.DataFrame({"varint_bytes": nbytes,
-                              "n_values": np.int64(1)})
-                .groupby("varint_bytes", as_index=False).sum())
+        return pd.DataFrame({"varint_bytes": nbytes, "n_values": np.int64(1)})
 
     def add_block(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(__blk=df["o_orderkey"].to_numpy(np.int64)
                          // block_rows)
 
-    out = (bucketed_group_apply(
-        o.map_batches(add_block, batch_format="pandas"),
-        "__blk", classes).to_pandas()
-        .groupby("varint_bytes", as_index=False).sum())
-    out = out.astype({"varint_bytes": "int64", "n_values": "int64"})
+    out = reduce_partials(bucketed_group_apply(
+        o.map_batches(add_block, batch_format="pandas"), "__blk", classes),
+        "varint_bytes")
     out["total_bytes"] = out["varint_bytes"] * out["n_values"]
-    return out.sort_values("varint_bytes").reset_index(drop=True)
+    return out

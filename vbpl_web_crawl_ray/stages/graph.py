@@ -16,7 +16,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .shuffle import broadcast_get, bucketed_group_apply, compact_for_join
+from .shuffle import (broadcast_get, bucketed_group_apply, compact_for_join,
+                      reduce_partials)
 
 
 def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
@@ -152,9 +153,8 @@ def _pagerank_broadcast(edges_ds: rd.Dataset, src: str, dst: str,
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
 
-    deg = edges_ds.map_batches(
-        lambda df: df.groupby(src, as_index=False).agg(c=(dst, "size")),
-        batch_format="pandas").to_pandas().groupby(src)["c"].sum()
+    deg = reduce_partials(edges_ds, src, lambda df: pd.DataFrame(
+        {src: df[src], "c": np.int64(1)})).set_index(src)["c"]
     out_deg = np.zeros(n, dtype=np.float64)
     for v, c in deg.items():
         out_deg[idx[v]] = c
@@ -171,11 +171,9 @@ def _pagerank_broadcast(edges_ds: rd.Dataset, src: str, dst: str,
                             count=len(df))
             s = np.fromiter((share[ix[v]] for v in df[src]),
                             dtype=np.float64, count=len(df))
-            return pd.DataFrame({"j": j, "c": s}) \
-                .groupby("j", as_index=False)["c"].sum()
+            return pd.DataFrame({"j": j, "c": s})
 
-        parts = edges_ds.map_batches(contribs, batch_format="pandas") \
-                        .to_pandas().groupby("j")["c"].sum()
+        parts = reduce_partials(edges_ds, "j", contribs).set_index("j")["c"]
         new = np.zeros(n)
         new[parts.index.to_numpy()] = parts.to_numpy()
         dangling = ranks[out_deg == 0].sum()
@@ -394,6 +392,13 @@ def pagerank(edges: pd.DataFrame | rd.Dataset, src: str = "src",
     return out.sort_values("node").reset_index(drop=True)
 
 
+def _endpoint_degrees(df: pd.DataFrame) -> pd.DataFrame:
+    """One (node, d=1) row per endpoint of each (u, v) edge row."""
+    return pd.DataFrame({"node": pd.concat([df["u"], df["v"]],
+                                           ignore_index=True),
+                         "d": np.int64(1)})
+
+
 def triangle_count(edges, src: str = "src", dst: str = "dst",
                    num_buckets: int | None = None) -> pd.DataFrame:
     """Distributed triangle count by DEGREE-ORIENTED wedge generation —
@@ -412,8 +417,6 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
     Accepts a pandas frame or a Dataset of (src, dst) string/int ids."""
     import ray.data as rd
 
-    from .shuffle import bucketed_group_apply
-
     if isinstance(edges, pd.DataFrame):
         edges = rd.from_pandas(edges[[src, dst]])
 
@@ -430,13 +433,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
         lambda g: g.drop_duplicates(["u", "v"]),
         num_buckets=num_buckets).materialize()
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        n = pd.concat([df["u"], df["v"]], ignore_index=True)
-        return (n.value_counts().rename_axis("node")
-                 .reset_index(name="d"))
-
-    deg = (ded.map_batches(deg_partial, batch_format="pandas")
-              .to_pandas().groupby("node", as_index=False)["d"].sum())
+    deg = reduce_partials(ded, "node", _endpoint_degrees)
     n_nodes = len(deg)
     import ray
     dref = ray.put(dict(zip(deg["node"], deg["d"])))
@@ -517,8 +514,6 @@ def k_core(edges, k: int = 3, src: str = "src", dst: str = "dst",
     import ray
     import ray.data as rd
 
-    from .shuffle import bucketed_group_apply
-
     if isinstance(edges, pd.DataFrame):
         edges = rd.from_pandas(edges[[src, dst]])
 
@@ -535,19 +530,13 @@ def k_core(edges, k: int = 3, src: str = "src", dst: str = "dst",
         lambda g: g.drop_duplicates(["u", "v"]),
         num_buckets=num_buckets).materialize()
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        n = pd.concat([df["u"], df["v"]], ignore_index=True)
-        return (n.value_counts().rename_axis("node")
-                 .reset_index(name="d"))
-
     deg = pd.DataFrame({"node": pd.Series(dtype=object),
                         "d": pd.Series(dtype=np.int64)})
     for _ in range(max_iters):
         if cur.count() == 0:
             return pd.DataFrame({"node": pd.Series(dtype=object),
                                  "degree": pd.Series(dtype=np.int64)})
-        deg = (cur.map_batches(deg_partial, batch_format="pandas")
-                  .to_pandas().groupby("node", as_index=False)["d"].sum())
+        deg = reduce_partials(cur, "node", _endpoint_degrees)
         fringe = set(deg.loc[deg["d"] < k, "node"])
         if not fringe:
             break
@@ -561,9 +550,7 @@ def k_core(edges, k: int = 3, src: str = "src", dst: str = "dst",
     else:
         raise RuntimeError("k_core failed to converge")
 
-    return (deg.rename(columns={"d": "degree"})
-               .astype({"degree": "int64"})
-               .sort_values("node").reset_index(drop=True))
+    return deg.rename(columns={"d": "degree"})
 
 
 def bfs_depths(edges, seed: str, src: str = "src", dst: str = "dst",

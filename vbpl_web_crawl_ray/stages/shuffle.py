@@ -8,9 +8,10 @@ map_batches, shuffle only B coarse buckets, and run the per-key logic
 VECTORIZED (pandas groupby) inside each bucket. One all-to-all over B
 partitions instead of one per distinct key.
 
-At cluster scale B is sized to the cluster (≈ 2-4x total cores); hot keys
-can be salted into sub-buckets by extending ``bucket_of`` — the hook is the
-single place partitioning is decided.
+At cluster scale B is sized to the cluster (≈ 2-4x total cores).
+``bucket_of`` is the single place partitioning is decided; hot-key
+salting lives in ``joins.salted_group_agg``, which salts the group key
+itself instead of the placement.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def broadcast_get(ref):
 def resolve_num_buckets(requested: int | None = None) -> int:
     """Bucket count B for the explicit shuffles in this module.
 
-    ``requested`` wins when given (tests / hot-key overrides); then the
+    ``requested`` wins when given (tests, per-call overrides); then the
     ``GRAFT_NUM_BUCKETS`` env knob (the bucket-count-invariance sweep);
     otherwise B = clamp(2 x cluster CPUs, 8, 256) read once from the Ray
     runtime — ~2-4 buckets per core keeps every core busy in the
@@ -106,32 +107,39 @@ def bucket_of(values, num_buckets: int) -> np.ndarray:
             % num_buckets).astype(np.int64)
 
 
-def salted_bucket_of(hot_keys, salt_of: Callable[[pd.DataFrame], np.ndarray],
-                     num_salts: int = 8) -> Callable[[pd.DataFrame, str, int], np.ndarray]:
-    """A ``bucketer`` for :func:`bucketed_group_apply` that splits known
-    hot keys across ``num_salts`` sub-buckets.
+def reduce_partials(ds: rd.Dataset, keys: str | list[str],
+                    fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+                    agg: dict[str, str] | None = None) -> pd.DataFrame:
+    """Grouped aggregate of ``ds`` to one driver frame, in two phases.
 
-    ``salt_of(df)`` returns a per-row int array (e.g. a hash of a second
-    column) used to spread a hot key's rows; cold keys keep the plain
-    ``bucket_of`` placement. The caller's ``bucket_fn`` must then be a
-    mergeable partial (algebraic aggregate), since a salted key's rows
-    straddle buckets — exactly the contract of a two-stage aggregate.
+    In each batch, ``fn`` (optional) maps the rows to cells, which group
+    by ``keys`` so each block ships one row per key; the driver pulls
+    those rows and groups them again with the same combiner. Every
+    non-key column sums, except those ``agg`` names as ``"min"`` or
+    ``"max"``. The result is in key order with a fresh index; int64
+    columns stay int64. Over a :func:`bucketed_group_apply` output pass
+    ``fn=None``: its per-bucket partials merge here. When every block
+    comes back empty the result is an empty frame with the cells'
+    columns.
     """
-    hot = set(hot_keys)
+    cols = [keys] if isinstance(keys, str) else list(keys)
 
-    def bucketer(df: pd.DataFrame, key: str, num_buckets: int) -> np.ndarray:
-        vals = df[key].to_numpy()
-        base = bucket_of(vals, num_buckets)
-        is_hot = np.isin(vals, list(hot))
-        if is_hot.any():
-            salt = np.asarray(salt_of(df), dtype=np.int64) % num_salts
-            base = np.where(
-                is_hot,
-                (base + salt * np.int64(0x9E3779B1)) % num_buckets,
-                base)
-        return base.astype(np.int64)
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        if not agg:
+            return df.groupby(cols, as_index=False).sum()
+        return df.groupby(cols, as_index=False).agg(
+            {c: agg.get(c, "sum") for c in df.columns if c not in cols})
 
-    return bucketer
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return combine(df if fn is None else fn(df))
+
+    cells = ds.map_batches(partial, batch_format="pandas")
+    out = cells.to_pandas()
+    if out.columns.empty:  # every block came back empty: keep the schema
+        s = cells.schema().base_schema
+        out = pd.DataFrame({n: pd.Series(dtype=t)
+                            for n, t in zip(s.names, s.types)})
+    return combine(out)
 
 
 def broadcast_or_bucketed(side: rd.Dataset,
@@ -214,8 +222,8 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
     bucket shuffle.  This joins the way the rest of this module shuffles:
     pad both sides to a common Arrow schema (typed nulls), tag the side,
     union (zero-copy), bucket by hash(key) % B, and pandas-merge inside
-    each bucket.  Same all-to-all volume, no join-actor pool, and the
-    skew/salting hook stays `bucket_of`.
+    each bucket.  Same all-to-all volume, no join-actor pool, and
+    placement stays `bucket_of`.
 
     Arrow-typed padding (not pandas NaN) is load-bearing: int64 keys with
     NaN would round-trip through float64 and corrupt 64-bit hash keys.
@@ -323,28 +331,21 @@ def bucketed_group_apply(ds: rd.Dataset, key: str,
                          bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
                          num_buckets: int | None = None,
                          partial_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-                         bucketer: Callable[[pd.DataFrame, str, int], np.ndarray] | None = None,
                          ) -> rd.Dataset:
     """groupby(key)-equivalent with a coarse shuffle.
 
     ``partial_fn`` (optional): per-batch combiner BEFORE the shuffle (must
     keep ``key``). ``bucket_fn``: applied to one bucket's frame, must do its
     own per-key pandas groupby; all keys with the same hash bucket arrive
-    together, keys never straddle buckets. ``bucketer`` (optional) overrides
-    the placement — e.g. :func:`salted_bucket_of` to split a hot key across
-    sub-buckets, in which case ``bucket_fn`` must be a mergeable partial.
+    together, keys never straddle buckets.
     """
     num_buckets = resolve_num_buckets(num_buckets)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if partial_fn is not None:
             df = partial_fn(df)
-        if bucketer is not None:
-            b = bucketer(df, key, num_buckets)
-        else:
-            b = bucket_of(df[key].to_numpy(), num_buckets)
-        df = df.assign(**{_BUCKET: b})
-        return df
+        return df.assign(**{_BUCKET: bucket_of(df[key].to_numpy(),
+                                                num_buckets)})
 
     def apply(g: pd.DataFrame) -> pd.DataFrame:
         return bucket_fn(g.drop(columns=[_BUCKET]))

@@ -29,7 +29,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .shuffle import broadcast_get
+from .shuffle import broadcast_get, reduce_partials
 
 # sentinel item carrying each batch's total item count through the same
 # (item, n) partial stream in the verify pass; "\x00" sorts before any
@@ -98,9 +98,7 @@ def mg_heavy_hitters(ds: rd.Dataset,
             "n": np.concatenate([sub.to_numpy(np.int64),
                                  np.array([total], np.int64)])})
 
-    counts = (ds.map_batches(exact, batch_format="pandas")
-                .to_pandas()                      # <= (k+1) rows per batch
-                .groupby("item", as_index=False)["n"].sum())
+    counts = reduce_partials(ds, "item", exact)   # <= (k+1) rows per batch
     n_total = int(counts.loc[counts["item"] == _TOTAL, "n"].iloc[0])
     out = counts[(counts["item"] != _TOTAL)
                  & (counts["n"] >= phi * n_total)]
