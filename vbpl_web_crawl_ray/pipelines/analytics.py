@@ -36,7 +36,8 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 from ..sources.tablecache import base_dataset, base_pandas
 
 EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -74,9 +75,11 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     def trans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         same = g["user_id"].eq(g["user_id"].shift(1))
-        return pd.DataFrame({"prev_type": g["event_type"].shift(1)[same].to_numpy(),
-                             "next_type": g.loc[same, "event_type"].to_numpy(),
-                             "n": np.int64(1)})
+        cells = pd.DataFrame({
+            "prev_type": g["event_type"].shift(1)[same].to_numpy(),
+            "next_type": g.loc[same, "event_type"].to_numpy(),
+            "n": np.int64(1)})
+        return group_cells(cells, ["prev_type", "next_type"])
 
     return reduce_partials(bucketed_group_apply(ev, "user_id", trans),
                            ["prev_type", "next_type"])
@@ -118,8 +121,9 @@ def q_brand_pair_counts(sf_dir: str) -> pd.DataFrame:
         b_idx = (np.arange(int(cnt.sum())) - np.repeat(starts, cnt)
                  + np.repeat(np.arange(len(d)) + 1, cnt))
         brands = d["brand"].to_numpy()
-        return pd.DataFrame({"brand_a": brands[a_idx],
-                             "brand_b": brands[b_idx], "n": np.int64(1)})
+        cells = pd.DataFrame({"brand_a": brands[a_idx],
+                              "brand_b": brands[b_idx], "n": np.int64(1)})
+        return group_cells(cells, ["brand_a", "brand_b"])
 
     return reduce_partials(
         bucketed_group_apply(li, "okey", pairs,
@@ -491,7 +495,8 @@ def q_brand_pair_lift(sf_dir: str) -> pd.DataFrame:
                                 "n": np.int64(1)})
         sentinel = pd.DataFrame({"brand_a": [""], "brand_b": [""],
                                  "n": [d["okey"].nunique()]})
-        return pd.concat([p, singles, sentinel], ignore_index=True)
+        cells = pd.concat([p, singles, sentinel], ignore_index=True)
+        return group_cells(cells, ["brand_a", "brand_b"])
 
     agg = reduce_partials(bucketed_group_apply(li, "okey", stats),
                           ["brand_a", "brand_b"])

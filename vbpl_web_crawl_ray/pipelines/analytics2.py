@@ -33,7 +33,8 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 from ..sources.tablecache import base_dataset
 
 _DAY_US = 86_400 * 1_000_000
@@ -68,9 +69,10 @@ def q_cohort_retention(sf_dir: str) -> pd.DataFrame:
         d = (pd.DataFrame({"user_id": g["user_id"].to_numpy(), "wk": wk})
              .drop_duplicates())
         cohort = d.groupby("user_id")["wk"].transform("min")
-        return pd.DataFrame({"cohort": cohort,
-                             "week_offset": (d["wk"] - cohort) // 7,
-                             "n_users": np.int64(1)})
+        cells = pd.DataFrame({"cohort": cohort,
+                              "week_offset": (d["wk"] - cohort) // 7,
+                              "n_users": np.int64(1)})
+        return group_cells(cells, ["cohort", "week_offset"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # pre-dedup (user, week) per batch: the shuffle moves user-weeks
@@ -304,7 +306,8 @@ def q_rolling_distinct_users(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
         w = (pd.DataFrame({"user_id": d["user_id"].to_numpy()[rows],
                            "wday": day[rows] + off})
              .drop_duplicates())
-        return pd.DataFrame({"wday": w["wday"], "n_users": np.int64(1)})
+        cells = pd.DataFrame({"wday": w["wday"], "n_users": np.int64(1)})
+        return group_cells(cells, "wday")
 
     cnt = reduce_partials(bucketed_group_apply(ev, "user_id", cover,
                                                partial_fn=partial), "wday")
@@ -416,7 +419,7 @@ def q_topk_frequent_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
         same = (g["user_id"].eq(g["user_id"].shift(-1))
                 & g["user_id"].eq(g["user_id"].shift(-2))).to_numpy()
         p = pd.Series(e0[same], dtype=object) + ">" + e1[same] + ">" + e2[same]
-        return pd.DataFrame({"path": p, "n": np.int64(1)})
+        return group_cells(pd.DataFrame({"path": p, "n": np.int64(1)}), "path")
 
     out = reduce_partials(bucketed_group_apply(ev, "user_id", paths), "path")
     return (out.sort_values(["n", "path"], ascending=[False, True])
@@ -454,7 +457,8 @@ def q_wau_mau_stickiness(sf_dir: str) -> pd.DataFrame:
                                "wday": day[rows] + off})
                  .drop_duplicates().assign(tag=tag, n=np.int64(1)))
             frames.append(w[["tag", "wday", "n"]])
-        return pd.concat(frames, ignore_index=True)
+        cells = pd.concat(frames, ignore_index=True)
+        return group_cells(cells, ["tag", "wday"])
 
     cnt = reduce_partials(bucketed_group_apply(ev, "user_id", cover,
                                                partial_fn=partial),
@@ -916,9 +920,10 @@ def q_session_entry_exit(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
                           "event_type": g["event_type"].to_numpy()})
         f = d.groupby("sid")["event_type"].first()
         z = d.groupby("sid")["event_type"].last()
-        return pd.DataFrame({"entry_type": f.to_numpy(),
-                             "exit_type": z.to_numpy(),
-                             "n_sessions": np.int64(1)})
+        cells = pd.DataFrame({"entry_type": f.to_numpy(),
+                              "exit_type": z.to_numpy(),
+                              "n_sessions": np.int64(1)})
+        return group_cells(cells, ["entry_type", "exit_type"])
 
     return reduce_partials(bucketed_group_apply(ev, "user_id", pairs),
                            ["entry_type", "exit_type"])
@@ -945,7 +950,8 @@ def q_user_activity_span_stats(sf_dir: str) -> pd.DataFrame:
             mn=("mn", "min"), mx=("mx", "max"))
         weeks = ((a["mx"].to_numpy(np.int64) - a["mn"].to_numpy(np.int64))
                  // 86_400_000_000) // 7
-        return pd.DataFrame({"span_weeks": weeks, "n_users": np.int64(1)})
+        cells = pd.DataFrame({"span_weeks": weeks, "n_users": np.int64(1)})
+        return group_cells(cells, "span_weeks")
 
     return reduce_partials(bucketed_group_apply(
         ev.map_batches(partial, batch_format="pandas"), "user_id", spans),
@@ -982,8 +988,9 @@ def q_event_type_cooccurrence(sf_dir: str) -> pd.DataFrame:
         u = g.groupby("user_id", as_index=False).agg(
             mask=("mask", lambda v: int(np.bitwise_or.reduce(
                 v.to_numpy(np.int64)))))
-        return pd.DataFrame({"mask": u["mask"].to_numpy(np.int64),
-                             "n_users": np.int64(1)})
+        cells = pd.DataFrame({"mask": u["mask"].to_numpy(np.int64),
+                              "n_users": np.int64(1)})
+        return group_cells(cells, "mask")
 
     hist = reduce_partials(bucketed_group_apply(
         ev.map_batches(partial, batch_format="pandas"), "user_id", mask_hist),

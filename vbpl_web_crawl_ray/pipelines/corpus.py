@@ -15,7 +15,8 @@ import pandas as pd
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 from ..stages.textstats import EN_STOPWORDS
 from ..sources.tablecache import base_dataset
 
@@ -792,8 +793,9 @@ def q_vocab_growth_curve(sf_dir: str, block_docs: int = 25) -> pd.DataFrame:
 
     def first_seen(g: pd.DataFrame) -> pd.DataFrame:
         f = g.groupby("tok", as_index=False)["doc_id"].min()
-        return pd.DataFrame({"checkpoint": f["doc_id"].to_numpy(np.int64)
-                             // block_docs, "n_new_types": np.int64(1)})
+        cells = pd.DataFrame({"checkpoint": f["doc_id"].to_numpy(np.int64)
+                              // block_docs, "n_new_types": np.int64(1)})
+        return group_cells(cells, "checkpoint")
 
     births = reduce_partials(bucketed_group_apply(
         docs.map_batches(tok_partial, batch_format="pandas"),

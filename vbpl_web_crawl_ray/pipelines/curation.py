@@ -32,7 +32,8 @@ import ray.data as rd
 from ..functions.hashing import md5_hex_prefix
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 
 # Bernoulli keep-threshold: first 8 md5 hex chars < this <=> u < 0.1 for
 # the uniform u = int(hex8,16)/2^32.  Hex strings of equal length compare
@@ -421,8 +422,9 @@ def q_dup_family_histogram(sf_dir: str) -> pd.DataFrame:
 
     def sizes(g: pd.DataFrame) -> pd.DataFrame:
         fam = g.groupby("text").size()
-        return pd.DataFrame({"family_size": fam.to_numpy(np.int64),
-                             "n_families": np.int64(1)})
+        cells = pd.DataFrame({"family_size": fam.to_numpy(np.int64),
+                              "n_families": np.int64(1)})
+        return group_cells(cells, "family_size")
 
     return reduce_partials(bucketed_group_apply(docs, "text", sizes),
                            "family_size")
@@ -474,7 +476,8 @@ def q_canonical_token_dedup(sf_dir: str) -> pd.DataFrame:
     def distinct_per_source(col: str, name: str) -> pd.DataFrame:
         def inner(g: pd.DataFrame) -> pd.DataFrame:
             d = g.drop_duplicates(["source", col])
-            return pd.DataFrame({"source": d["source"], name: np.int64(1)})
+            cells = pd.DataFrame({"source": d["source"], name: np.int64(1)})
+            return group_cells(cells, "source")
         return reduce_partials(bucketed_group_apply(
             fp.map_batches(lambda df: df.drop_duplicates(["source", col]),
                            batch_format="pandas"), col, inner), "source")
@@ -519,8 +522,9 @@ def q_cross_source_leakage(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"source_a": pd.Series(dtype="object"),
                                  "source_b": pd.Series(dtype="object"),
                                  "n_shared_texts": pd.Series(dtype="int64")})
-        return (pd.DataFrame(rows, columns=["source_a", "source_b"])
-                .assign(n_shared_texts=np.int64(1)))
+        cells = (pd.DataFrame(rows, columns=["source_a", "source_b"])
+                 .assign(n_shared_texts=np.int64(1)))
+        return group_cells(cells, ["source_a", "source_b"])
 
     return reduce_partials(bucketed_group_apply(
         docs.map_batches(plant, batch_format="pandas"), "text", pairs),
@@ -546,10 +550,11 @@ def q_dedup_token_savings(sf_dir: str) -> pd.DataFrame:
 
     def dedup_tokens(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["source", "text"])
-        return pd.DataFrame({
+        cells = pd.DataFrame({
             "source": d["source"].to_numpy(),
             "tokens_dedup": d["text"].str.split(" ").str.len()
             .to_numpy(np.int64)})
+        return group_cells(cells, "source")
 
     before = reduce_partials(docs, "source", raw)
     after = reduce_partials(bucketed_group_apply(
@@ -593,9 +598,10 @@ def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
     def firsts(g: pd.DataFrame) -> pd.DataFrame:
         fid = g.groupby("text")["doc_id"].min().to_numpy(np.int64)
         dec = (fid * 10) // denom
-        return pd.DataFrame({"decile": np.arange(10, dtype=np.int64),
-                             "nf": np.bincount(dec, minlength=10)
-                             .astype(np.int64)})
+        cells = pd.DataFrame({"decile": np.arange(10, dtype=np.int64),
+                              "nf": np.bincount(dec, minlength=10)
+                              .astype(np.int64)})
+        return group_cells(cells, "decile")
 
     n_first = reduce_partials(bucketed_group_apply(docs, "text", firsts),
                               "decile").set_index("decile")["nf"]
@@ -643,11 +649,12 @@ def q_leakage_safe_split(sf_dir: str) -> pd.DataFrame:
                .to_numpy(np.int64)
         b = md5_hash64([str(r) for r in rep]) % np.uint64(10)
         split = np.where(b < 8, "train", np.where(b == 8, "val", "test"))
-        return pd.DataFrame({"split": split,
-                             "source": g["source"].to_numpy(object),
-                             "n_docs": np.int64(1),
-                             "n_families": (g["doc_id"].to_numpy(np.int64)
-                                            == rep).astype(np.int64)})
+        cells = pd.DataFrame({"split": split,
+                              "source": g["source"].to_numpy(object),
+                              "n_docs": np.int64(1),
+                              "n_families": (g["doc_id"].to_numpy(np.int64)
+                                             == rep).astype(np.int64)})
+        return group_cells(cells, ["split", "source"])
 
     return reduce_partials(bucketed_group_apply(docs, "text", split_counts),
                            ["split", "source"])
@@ -686,8 +693,9 @@ def q_ngram_novelty_by_source(sf_dir: str, n: int = 8) -> pd.DataFrame:
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["h", "source"])
         ns = d.groupby("h")["source"].transform("size")
-        return pd.DataFrame({"source": d["source"], "n_grams": np.int64(1),
-                             "n_exclusive": (ns == 1).astype(np.int64)})
+        cells = pd.DataFrame({"source": d["source"], "n_grams": np.int64(1),
+                              "n_exclusive": (ns == 1).astype(np.int64)})
+        return group_cells(cells, "source")
 
     out = reduce_partials(bucketed_group_apply(
         docs.map_batches(explode, batch_format="pandas"), "h", per_bucket),

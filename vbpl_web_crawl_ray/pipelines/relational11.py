@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 from .relational7 import GAP_US
 
 
@@ -62,7 +62,7 @@ def q_lorenz_decile_shares(sf_dir: str) -> pd.DataFrame:
             dec = (rank - 1) * 10 // n
             rows.append(pd.DataFrame({"decile": dec, "n_users": 1,
                                       "n_events": int(x)}))
-        return pd.concat(rows, ignore_index=True)
+        return group_cells(pd.concat(rows, ignore_index=True), "decile")
 
     parts = reduce_partials(bucketed_group_apply(users, "x", deciles),
                             "decile")
@@ -104,7 +104,8 @@ def q_session_cooccurrence_lift(sf_dir: str) -> pd.DataFrame:
                            "n": np.int64(1)})
         total = pd.DataFrame({"kind": ["s"], "key": ["_sessions"],
                               "n": [int(new.sum())]})
-        return pd.concat([singles, pc, total], ignore_index=True)
+        cells = pd.concat([singles, pc, total], ignore_index=True)
+        return group_cells(cells, ["kind", "key"])
 
     parts = reduce_partials(bucketed_group_apply(ev, "user_id", per_bucket),
                             ["kind", "key"])

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 
 
 def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
@@ -53,7 +53,8 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
         co = pd.DataFrame({"kind": "p",
                            "key": m["source_x"] + "|" + m["source_y"],
                            "n": np.int64(1)})
-        return pd.concat([singles, co], ignore_index=True)
+        cells = pd.concat([singles, co], ignore_index=True)
+        return group_cells(cells, ["kind", "key"])
 
     parts = reduce_partials(
         bucketed_group_apply(pairs_src, "word", per_bucket), ["kind", "key"])
@@ -103,8 +104,9 @@ def q_join_fanout_histogram(sf_dir: str) -> pd.DataFrame:
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         fan = g.groupby("k")["cnt"].sum()     # lineitems per key
-        return pd.DataFrame({"fanout": fan.to_numpy(np.int64),
-                             "n_keys": np.int64(1)})
+        cells = pd.DataFrame({"fanout": fan.to_numpy(np.int64),
+                              "n_keys": np.int64(1)})
+        return group_cells(cells, "fanout")
 
     return reduce_partials(bucketed_group_apply(tagged, "k", per_bucket),
                            "fanout")

@@ -12,7 +12,8 @@ import ray.data as rd
 
 from ..functions.hashing import hash64
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 from ..sources.tablecache import base_dataset, base_pandas
 
 _NUM_BUCKETS = 8
@@ -623,7 +624,7 @@ def q_ntile_quartiles(sf_dir: str):
             out.append(pd.DataFrame({
                 "quartile": q.astype(np.int64), "n": np.int64(1),
                 "sum_price": sub["o_totalprice"].to_numpy()}))
-        return pd.concat(out, ignore_index=True)
+        return group_cells(pd.concat(out, ignore_index=True), "quartile")
 
     out = reduce_partials(bucketed_group_apply(
         ds.map_batches(binned, batch_format="pandas"), "bin", rank_in_bin),

@@ -24,7 +24,8 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 from ..sources.tablecache import base_dataset, base_pandas
 
 
@@ -575,7 +576,8 @@ def q_scd2_asof_lookup(sf_dir: str) -> pd.DataFrame:
                                 side="left")
         ver = (upto - start).astype(np.int64)
         ver = ver[ver > 0]          # clicks before any purchase drop
-        return pd.DataFrame({"version": ver, "n_clicks": np.int64(1)})
+        cells = pd.DataFrame({"version": ver, "n_clicks": np.int64(1)})
+        return group_cells(cells, "version")
 
     return reduce_partials(bucketed_group_apply(
         ev.map_batches(pre, batch_format="pandas"), "user_id", lookup),

@@ -27,7 +27,7 @@ import ray.data as rd
 
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
-from ..stages.shuffle import broadcast_get, reduce_partials
+from ..stages.shuffle import broadcast_get, group_cells, reduce_partials
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -352,9 +352,10 @@ def q_above_customer_avg_orders(sf_dir: str) -> pd.DataFrame:
         nn = g["o_custkey"].map(st["size"]).to_numpy(np.int64)
         ss = g["o_custkey"].map(st["sum"]).to_numpy(np.int64)
         above = g["cents"].to_numpy(np.int64) * nn > ss
-        return pd.DataFrame({
+        cells = pd.DataFrame({
             "o_orderpriority": g["o_orderpriority"].to_numpy(),
             "n_above": above.astype(np.int64), "n_orders": np.int64(1)})
+        return group_cells(cells, "o_orderpriority")
 
     return reduce_partials(bucketed_group_apply(
         o.map_batches(pre, batch_format="pandas"), "o_custkey", gate),

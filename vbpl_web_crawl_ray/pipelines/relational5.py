@@ -31,7 +31,7 @@ import ray
 import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
-from ..stages.shuffle import broadcast_get, reduce_partials
+from ..stages.shuffle import broadcast_get, group_cells, reduce_partials
 
 _US_PER_DAY = 86_400_000_000
 
@@ -152,6 +152,7 @@ def q_order_interarrival_stats(sf_dir: str) -> pd.DataFrame:
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
     cust = base_pandas(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     segref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+    minmax = {"min_gap_days": "min", "max_gap_days": "max"}
 
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate"])
@@ -161,14 +162,14 @@ def q_order_interarrival_stats(sf_dir: str) -> pd.DataFrame:
         gap_days = (us[1:] - us[:-1])[same] // _US_PER_DAY
         cks = ck[1:][same]
         seg = pd.Series(cks).map(broadcast_get(segref)).to_numpy()
-        return pd.DataFrame({"segment": seg, "n_gaps": np.int64(1),
-                             "sum_gap_days": gap_days,
-                             "min_gap_days": gap_days,
-                             "max_gap_days": gap_days})
+        cells = pd.DataFrame({"segment": seg, "n_gaps": np.int64(1),
+                              "sum_gap_days": gap_days,
+                              "min_gap_days": gap_days,
+                              "max_gap_days": gap_days})
+        return group_cells(cells, "segment", minmax)
 
     out = reduce_partials(bucketed_group_apply(orders, "o_custkey", gaps),
-                          "segment", agg={"min_gap_days": "min",
-                                          "max_gap_days": "max"})
+                          "segment", agg=minmax)
     out["avg_gap_days"] = (out["sum_gap_days"].to_numpy(np.float64)
                            / out["n_gaps"].to_numpy(np.float64))
     return out
@@ -421,9 +422,10 @@ def q_order_priority_migration(sf_dir: str) -> pd.DataFrame:
         ck = g["o_custkey"].to_numpy()
         pr = g["o_orderpriority"].to_numpy()
         same = ck[1:] == ck[:-1]
-        return pd.DataFrame({"prev_priority": pr[:-1][same],
-                             "next_priority": pr[1:][same],
-                             "n_transitions": np.int64(1)})
+        cells = pd.DataFrame({"prev_priority": pr[:-1][same],
+                              "next_priority": pr[1:][same],
+                              "n_transitions": np.int64(1)})
+        return group_cells(cells, ["prev_priority", "next_priority"])
 
     return reduce_partials(bucketed_group_apply(orders, "o_custkey", trans),
                            ["prev_priority", "next_priority"])
@@ -450,9 +452,10 @@ def q_repeat_purchase_rate(sf_dir: str) -> pd.DataFrame:
     def gate(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("o_custkey", as_index=False)["n"].sum()
         seg = c["o_custkey"].map(broadcast_get(segref)).to_numpy()
-        return pd.DataFrame({
+        cells = pd.DataFrame({
             "segment": seg, "n_customers": np.int64(1),
             "n_repeat": (c["n"].to_numpy() >= 2).astype(np.int64)})
+        return group_cells(cells, "segment")
 
     out = reduce_partials(bucketed_group_apply(
         orders.map_batches(partial, batch_format="pandas"),
@@ -584,8 +587,9 @@ def q_sole_late_supplier(sf_dir: str, k: int = 20) -> pd.DataFrame:
         atmax = m[m["us"] == m["mx"]]
         per = atmax.groupby("l_orderkey")["l_suppkey"].agg(["nunique", "min"])
         sole = per[per["nunique"] == 1]["min"]
-        return pd.DataFrame({"l_suppkey": sole.to_numpy(np.int64),
-                             "n_blamed": np.int64(1)})
+        cells = pd.DataFrame({"l_suppkey": sole.to_numpy(np.int64),
+                              "n_blamed": np.int64(1)})
+        return group_cells(cells, "l_suppkey")
 
     per_supp = reduce_partials(bucketed_group_apply(li, "l_orderkey", blame),
                                "l_suppkey")
@@ -701,8 +705,9 @@ def q_customer_order_distribution(sf_dir: str) -> pd.DataFrame:
 
     def coc(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("o_custkey", as_index=False)["n"].sum()
-        return pd.DataFrame({"n_orders": c["n"].to_numpy(),
-                             "n_customers": np.int64(1)})
+        cells = pd.DataFrame({"n_orders": c["n"].to_numpy(),
+                              "n_customers": np.int64(1)})
+        return group_cells(cells, "n_orders")
 
     out = reduce_partials(bucketed_group_apply(
         orders.map_batches(partial, batch_format="pandas"),

@@ -34,7 +34,7 @@ import pandas as pd
 
 from ..functions.hashing import md5_hash64, md5_hex_prefix
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,9 @@ def q_cdc_snapshot_diff(sf_dir: str) -> pd.DataFrame:
                       np.where(new.isna(), "deleted",
                                np.where(old == new, "unchanged",
                                         "changed")))
-        return pd.DataFrame({"change_type": ct, "n_rows": np.int64(1),
-                             "key_sum": w.index.to_numpy(np.int64)})
+        cells = pd.DataFrame({"change_type": ct, "n_rows": np.int64(1),
+                              "key_sum": w.index.to_numpy(np.int64)})
+        return group_cells(cells, "change_type")
 
     return reduce_partials(bucketed_group_apply(
         orders.map_batches(explode, batch_format="pandas"),

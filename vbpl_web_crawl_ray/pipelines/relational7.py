@@ -33,7 +33,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 
 GAP_US = 1800 * 1_000_000            # 30-minute session gap, int64 micros
 SEARCH_TERMS = ("spark", "window", "merge")
@@ -78,9 +78,10 @@ def q_funnel_conversion(sf_dir: str) -> pd.DataFrame:
         p = d[d["e"] == "purchase"].merge(t2, on="u")
         t3 = (p[p["t"] > p["t2"]].groupby("u")["t"].min()
               .rename("t3").reset_index())
-        return pd.DataFrame({
+        cells = pd.DataFrame({
             "stage": ["1_view", "2_click", "3_purchase"],
             "n_users": [len(t1), len(t2), len(t3)]})
+        return group_cells(cells, "stage")
 
     return reduce_partials(bucketed_group_apply(ev, "user_id", stages),
                            "stage")
@@ -225,7 +226,8 @@ def q_session_paths(sf_dir: str) -> pd.DataFrame:
         rank = d.groupby("sid").cumcount()
         head = d[rank < 5]
         p = head.groupby("sid")["e"].agg(">".join)
-        return pd.DataFrame({"path": p.to_numpy(object),
-                             "n_sessions": np.int64(1)})
+        cells = pd.DataFrame({"path": p.to_numpy(object),
+                              "n_sessions": np.int64(1)})
+        return group_cells(cells, "path")
 
     return reduce_partials(bucketed_group_apply(ev, "user_id", paths), "path")

@@ -36,7 +36,8 @@ import pandas as pd
 
 from ..functions.hashing import md5_hex_prefix
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
+                              reduce_partials)
 
 DEBOUNCE_US = 4 * 3600 * 1_000_000     # 4-hour debounce window
 MERKLE_LEAVES = 64                     # 4-ary tree: 64 -> 16 -> 4 -> 1
@@ -64,9 +65,10 @@ def q_debounce_events(sf_dir: str) -> pd.DataFrame:
         keep = np.ones(len(d), dtype=bool)
         if len(d) > 1:
             keep[1:] = (u[1:] != u[:-1]) | (t[1:] - t[:-1] > DEBOUNCE_US)
-        return pd.DataFrame({"event_type": d["event_type"].to_numpy(object),
-                             "n_kept": keep.astype(np.int64),
-                             "n_total": np.int64(1)})
+        cells = pd.DataFrame({"event_type": d["event_type"].to_numpy(object),
+                              "n_kept": keep.astype(np.int64),
+                              "n_total": np.int64(1)})
+        return group_cells(cells, "event_type")
 
     out = reduce_partials(bucketed_group_apply(ev, "user_id", debounce),
                           "event_type")

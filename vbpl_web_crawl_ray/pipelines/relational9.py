@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from ..sources.tablecache import base_dataset
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 
 RRF_K = 60
 RRF_TOP = 20
@@ -133,7 +133,8 @@ def q_gini_user_activity(sf_dir: str) -> pd.DataFrame:
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         vc = g["user_id"].value_counts()          # whole-user in-bucket
-        return pd.DataFrame({"x": vc.to_numpy(np.int64), "f": np.int64(1)})
+        cells = pd.DataFrame({"x": vc.to_numpy(np.int64), "f": np.int64(1)})
+        return group_cells(cells, "x")
 
     hist = reduce_partials(bucketed_group_apply(ev, "user_id", per_user), "x")
     x = hist["x"].to_numpy(np.int64)
@@ -171,9 +172,10 @@ def q_funnel_windowed(sf_dir: str) -> pd.DataFrame:
         p = d[d["e"] == "purchase"].merge(t2, on="u")
         p = p[(p["t"] > p["t2"]) & (p["t"] <= p["t2"] + FUNNEL_WINDOW_US)]
         t3 = p.groupby("u")["t"].min().rename("t3").reset_index()
-        return pd.DataFrame({
+        cells = pd.DataFrame({
             "stage": ["1_view", "2_click_72h", "3_purchase_72h"],
             "n_users": [len(t1), len(t2), len(t3)]})
+        return group_cells(cells, "stage")
 
     return reduce_partials(bucketed_group_apply(ev, "user_id", stages),
                            "stage")

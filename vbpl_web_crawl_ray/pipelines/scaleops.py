@@ -20,7 +20,7 @@ import ray.data as rd
 from ..functions.numeric import round_half_away
 from ..stages.joins import (bloom_anti_join, bloom_semi_join,
                             build_key_bloom_dist, salted_group_agg)
-from ..stages.shuffle import bucketed_group_apply, reduce_partials
+from ..stages.shuffle import bucketed_group_apply, group_cells, reduce_partials
 from ..sources.tablecache import base_dataset
 
 
@@ -75,7 +75,8 @@ def q_bloom_semi_counts(sf_dir: str) -> pd.DataFrame:
         keys = g.loc[g["side"] == 1, "k"].unique()
         li_rows = g[g["side"] == 0]
         hit = li_rows[li_rows["k"].isin(keys)]
-        return pd.DataFrame({"l_returnflag": hit["rf"], "n": np.int64(1)})
+        cells = pd.DataFrame({"l_returnflag": hit["rf"], "n": np.int64(1)})
+        return group_cells(cells, "l_returnflag")
 
     return reduce_partials(
         bucketed_group_apply(s.union(u), "k", count_in_bucket),
@@ -170,8 +171,9 @@ def q_full_outer_user_counts(sf_dir: str) -> pd.DataFrame:
     def count_sides(g: pd.DataFrame) -> pd.DataFrame:
         bits = g.drop_duplicates(["k", "side"]).groupby("k")["side"].sum()
         label = {1: "customer_only", 2: "error_only", 3: "both"}
-        return pd.DataFrame({"side": [label[int(v)] for v in bits],
-                             "n": np.int64(1)})
+        cells = pd.DataFrame({"side": [label[int(v)] for v in bits],
+                              "n": np.int64(1)})
+        return group_cells(cells, "side")
 
     return reduce_partials(
         bucketed_group_apply(cust.union(err), "k", count_sides), "side")
@@ -352,7 +354,8 @@ def q_key_skew_stats(sf_dir: str) -> pd.DataFrame:
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("user_id", as_index=False)["n"].sum()
         # count-of-counts: one row per distinct per-user count
-        return pd.DataFrame({"n": c["n"].to_numpy(), "keys": np.int64(1)})
+        cells = pd.DataFrame({"n": c["n"].to_numpy(), "keys": np.int64(1)})
+        return group_cells(cells, "n")
 
     hist = reduce_partials(bucketed_group_apply(
         ev, "user_id", per_user,
@@ -479,11 +482,12 @@ def q_table_profile(sf_dir: str) -> pd.DataFrame:
     def profile(g: pd.DataFrame) -> pd.DataFrame:
         vals = g[g["kv"].str.len() > g["col"].str.len() + 1]
         d = vals.drop_duplicates("kv")
-        return pd.concat([
+        cells = pd.concat([
             pd.DataFrame({"col": d["col"], "n_distinct": np.int64(1),
                           "n_nulls": np.int64(0)}),
             pd.DataFrame({"col": g["col"], "n_distinct": np.int64(0),
                           "n_nulls": g["nulls"].to_numpy(np.int64)})])
+        return group_cells(cells, "col")
 
     return reduce_partials(
         bucketed_group_apply(ds, "kv", profile, partial_fn=partial), "col")
@@ -794,7 +798,8 @@ def q_delta_encoding_audit(sf_dir: str, block_rows: int = 4096) -> pd.DataFrame:
                   + (delta >= 1 << 14).astype(np.int64)
                   + (delta >= 1 << 21).astype(np.int64)
                   + (delta >= 1 << 28).astype(np.int64))
-        return pd.DataFrame({"varint_bytes": nbytes, "n_values": np.int64(1)})
+        cells = pd.DataFrame({"varint_bytes": nbytes, "n_values": np.int64(1)})
+        return group_cells(cells, "varint_bytes")
 
     def add_block(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(__blk=df["o_orderkey"].to_numpy(np.int64)

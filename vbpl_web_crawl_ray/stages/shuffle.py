@@ -107,31 +107,42 @@ def bucket_of(values, num_buckets: int) -> np.ndarray:
             % num_buckets).astype(np.int64)
 
 
+def group_cells(df: pd.DataFrame, keys: str | list[str],
+                agg: dict[str, str] | None = None) -> pd.DataFrame:
+    """One row per ``keys`` value of ``df``, in key order.
+
+    Every non-key column sums, except those ``agg`` names as ``"min"`` or
+    ``"max"``. This is the combiner :func:`reduce_partials` runs in each
+    batch and on the driver. A :func:`bucketed_group_apply` function whose
+    output feeds ``reduce_partials`` ends with it, with the same ``keys``
+    and ``agg``, so each bucket ships one row per key, not one per input
+    row.
+    """
+    cols = [keys] if isinstance(keys, str) else list(keys)
+    if not agg:
+        return df.groupby(cols, as_index=False).sum()
+    return df.groupby(cols, as_index=False).agg(
+        {c: agg.get(c, "sum") for c in df.columns if c not in cols})
+
+
 def reduce_partials(ds: rd.Dataset, keys: str | list[str],
                     fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
                     agg: dict[str, str] | None = None) -> pd.DataFrame:
     """Grouped aggregate of ``ds`` to one driver frame, in two phases.
 
-    In each batch, ``fn`` (optional) maps the rows to cells, which group
-    by ``keys`` so each block ships one row per key; the driver pulls
-    those rows and groups them again with the same combiner. Every
+    In each batch, ``fn`` (optional) maps the rows to cells, which
+    :func:`group_cells` combines by ``keys`` so each block ships one row
+    per key; the driver pulls those rows and combines them again. Every
     non-key column sums, except those ``agg`` names as ``"min"`` or
     ``"max"``. The result is in key order with a fresh index; int64
     columns stay int64. Over a :func:`bucketed_group_apply` output pass
-    ``fn=None``: its per-bucket partials merge here. When every block
-    comes back empty the result is an empty frame with the cells'
-    columns.
+    ``fn=None``; its bucket function ends with ``group_cells`` so the
+    rows that reach the driver stay bounded by cells x buckets. When
+    every block comes back empty the result is an empty frame with the
+    cells' columns.
     """
-    cols = [keys] if isinstance(keys, str) else list(keys)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not agg:
-            return df.groupby(cols, as_index=False).sum()
-        return df.groupby(cols, as_index=False).agg(
-            {c: agg.get(c, "sum") for c in df.columns if c not in cols})
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df if fn is None else fn(df))
+        return group_cells(df if fn is None else fn(df), keys, agg)
 
     cells = ds.map_batches(partial, batch_format="pandas")
     out = cells.to_pandas()
@@ -139,7 +150,7 @@ def reduce_partials(ds: rd.Dataset, keys: str | list[str],
         s = cells.schema().base_schema
         out = pd.DataFrame({n: pd.Series(dtype=t)
                             for n, t in zip(s.names, s.types)})
-    return combine(out)
+    return group_cells(out, keys, agg)
 
 
 def broadcast_or_bucketed(side: rd.Dataset,
@@ -336,7 +347,8 @@ def bucketed_group_apply(ds: rd.Dataset, key: str,
 
     ``partial_fn`` (optional): per-batch combiner BEFORE the shuffle (must
     keep ``key``). ``bucket_fn``: applied to one bucket's frame, must do its
-    own per-key pandas groupby; all keys with the same hash bucket arrive
+    own per-key pandas groupby (:func:`group_cells` when the output feeds
+    :func:`reduce_partials`); all keys with the same hash bucket arrive
     together, keys never straddle buckets.
     """
     num_buckets = resolve_num_buckets(num_buckets)
