@@ -80,6 +80,23 @@ def test_bucketed_join_matches_pandas_merge():
     assert set(big) <= set(got["k"])
 
 
+def test_bucketed_join_output_has_no_schema_metadata():
+    """Ray Data cannot hash a schema carrying pandas metadata (it warns
+    and skips schema de-duplication), so the merged blocks carry none."""
+    import ray
+    from vbpl_web_crawl_ray.stages.shuffle import bucketed_join
+    left = pd.DataFrame({"k": np.arange(20, dtype=np.int64),
+                         "a": np.arange(20, dtype=np.int64)})
+    right = pd.DataFrame({"k": np.arange(0, 20, 2, dtype=np.int64),
+                          "b": [f"s{i}" for i in range(10)]})
+    out = bucketed_join(rd.from_pandas(left), rd.from_pandas(right),
+                        on="k", num_buckets=3).materialize()
+    assert out.schema().base_schema.metadata is None
+    blocks = ray.get(out.to_arrow_refs())
+    assert sum(len(t) for t in blocks) == 10
+    assert all(t.schema.metadata is None for t in blocks if len(t))
+
+
 def test_bucketed_join_right_on_and_left_how():
     from vbpl_web_crawl_ray.stages.shuffle import bucketed_join
     left = pd.DataFrame({"k": np.arange(10, dtype=np.int64),

@@ -192,9 +192,9 @@ class TestUpsert:
             upsert_parquet(batch, out_dir, ["k"], "ts", num_buckets=4)
         assert os.listdir(tmp_path) == ["tbl"]
         dirs = sorted(os.listdir(out_dir))
-        assert dirs == [f"bucket={b}" for b in range(4)]
+        assert dirs == ["_manifest.json"] + [f"bucket={b}" for b in range(4)]
         total = 0
-        for b, d in enumerate(dirs):
+        for b, d in enumerate(dirs[1:]):
             assert os.listdir(os.path.join(out_dir, d)) == ["part-0.parquet"]
             keys = pq.read_table(os.path.join(out_dir, d, "part-0.parquet"),
                                  partitioning=None).column("k").to_pylist()
@@ -202,6 +202,78 @@ class TestUpsert:
             assert (bucket_of(np.array(keys), 4) == b).all()
             total += len(keys)
         assert total == 40
+
+    def test_upsert_parquet_pins_bucket_count(self, tmp_path, monkeypatch):
+        """The table's manifest fixes B: a later merge under a different
+        default B must not put one key into two buckets, and an explicit
+        conflicting B is refused."""
+        out_dir = str(tmp_path / "tbl")
+        upsert_parquet(rd.from_items([{"k": i, "ts": 1, "v": "a"}
+                                      for i in range(40)]),
+                       out_dir, ["k"], "ts", num_buckets=4)
+        monkeypatch.setenv("GRAFT_NUM_BUCKETS", "8")
+        upsert_parquet(rd.from_items([{"k": i, "ts": 2, "v": "b"}
+                                      for i in range(20, 60)]),
+                       out_dir, ["k"], "ts")
+        dirs = sorted(d for d in os.listdir(out_dir)
+                      if d.startswith("bucket="))
+        assert dirs == [f"bucket={b}" for b in range(4)]
+        keys = []
+        for d in dirs:
+            got = pq.read_table(os.path.join(out_dir, d, "part-0.parquet"))
+            k = np.array(got.column("k").to_pylist())
+            assert (bucket_of(k, 4) == int(d.split("=")[1])).all()
+            keys += k.tolist()
+        assert sorted(keys) == list(range(60))
+        with pytest.raises(ValueError, match="4 buckets"):
+            upsert_parquet(rd.from_items([{"k": 1, "ts": 3, "v": "c"}]),
+                           out_dir, ["k"], "ts", num_buckets=8)
+
+    def test_upsert_parquet_keeps_rows_of_table_without_manifest(
+            self, tmp_path):
+        """A bucketed table with no manifest (written before tables had
+        one): its rows are merged in, under a new B, not dropped."""
+        out_dir = str(tmp_path / "tbl")
+        upsert_parquet(rd.from_items([{"k": i, "ts": 1, "v": "a"}
+                                      for i in range(10)]),
+                       out_dir, ["k"], "ts", num_buckets=3)
+        os.remove(os.path.join(out_dir, "_manifest.json"))
+        upsert_parquet(rd.from_items([{"k": 0, "ts": 2, "v": "b"}]),
+                       out_dir, ["k"], "ts", num_buckets=5)
+        got = rd.read_parquet(out_dir).to_pandas().sort_values("k")
+        assert list(got["v"]) == ["b"] + ["a"] * 9
+        assert sum(d.startswith("bucket=") for d in os.listdir(out_dir)) <= 5
+
+    def test_upsert_parquet_tie_goes_to_incoming_row(self, tmp_path):
+        """Equal timestamps: the incoming row overwrites the stored one
+        (the reference's overwrite-on-replay); untouched buckets keep
+        their file."""
+        out_dir = str(tmp_path / "tbl")
+        upsert_parquet(rd.from_items([{"k": i, "ts": 5, "v": "old"}
+                                      for i in range(16)]),
+                       out_dir, ["k"], "ts", num_buckets=4)
+        b1 = int(bucket_of(np.array([1]), 4)[0])
+        kept = {b: os.stat(os.path.join(out_dir, f"bucket={b}",
+                                        "part-0.parquet")).st_ino
+                for b in range(4) if b != b1}
+        upsert_parquet(rd.from_items([{"k": 1, "ts": 5, "v": "new"}]),
+                       out_dir, ["k"], "ts")
+        got = rd.read_parquet(out_dir).to_pandas()
+        assert len(got) == 16
+        assert got.loc[got["k"] == 1, "v"].tolist() == ["new"]
+        assert (got.loc[got["k"] != 1, "v"] == "old").all()
+        assert kept == {b: os.stat(os.path.join(out_dir, f"bucket={b}",
+                                                "part-0.parquet")).st_ino
+                        for b in kept}
+
+    def test_upsert_parquet_files_carry_no_pandas_metadata(self, tmp_path):
+        out_dir = str(tmp_path / "tbl")
+        upsert_parquet(rd.from_items([{"k": i, "ts": 1, "v": str(i)}
+                                      for i in range(8)]),
+                       out_dir, ["k"], "ts", num_buckets=2)
+        for b in range(2):
+            assert pq.read_schema(os.path.join(
+                out_dir, f"bucket={b}", "part-0.parquet")).metadata is None
 
 
 def test_audio_features_known_signals(sf_dir):

@@ -77,7 +77,8 @@ def resolve_num_buckets(requested: int | None = None) -> int:
     per-bucket apply while bounding the shuffle's partition count. All
     consumers are bucket-count-invariant by construction (per-key logic
     closes inside a bucket; buckets merge order-free), so B is purely a
-    parallelism/skew knob.
+    parallelism/skew knob. A stored table is the exception: its manifest
+    pins B for its life (``stages/upsert``).
     """
     if requested is not None:
         return requested
@@ -316,9 +317,12 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
         # promoting int64 right-extras to float64 in buckets that contain
         # unmatched keys; casting every bucket back to the declared Arrow
         # schema (nullable) keeps block schemas identical for downstream
-        # Arrow consumers (write_parquet / union / further joins).
+        # Arrow consumers (write_parquet / union / further joins). The
+        # pandas schema metadata goes: Ray Data cannot hash a schema that
+        # carries any, so it would skip schema de-duplication.
         return pa.Table.from_pandas(out[out_order], schema=out_schema,
-                                    preserve_index=False)
+                                    preserve_index=False
+                                    ).replace_schema_metadata(None)
 
     return (lp.union(rp).groupby(_BUCKET)
               .map_groups(merge, batch_format="pyarrow"))
