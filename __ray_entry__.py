@@ -489,16 +489,15 @@ def _enriched_meta(sf_dir: str):
         out_col="sector").drop_columns(["sector0"])
 
     sec_files = sorted(glob.glob(f"{out}/sections/round=*/*.parquet"))
-    from vbpl_web_crawl_ray.stages.shuffle import (bucketed_group_apply,
-                                                   compact_for_join)
-    # per-batch partial count + bucketed sum, compacted join-safe
-    counts = compact_for_join(bucketed_group_apply(
+    from vbpl_web_crawl_ray.stages.shuffle import bucketed_group_apply
+    # per-batch partial count + bucketed sum
+    counts = bucketed_group_apply(
         rd.read_parquet(sec_files, columns=["vbpl_id"]),
         "vbpl_id",
         bucket_fn=lambda g: g.groupby("vbpl_id", as_index=False)
                              .agg(n_sections=("n_sections", "sum")),
         partial_fn=lambda df: df.groupby("vbpl_id", as_index=False)
-                                .agg(n_sections=("vbpl_id", "size"))), 2)
+                                .agg(n_sections=("vbpl_id", "size")))
     joined = enriched.join(counts, join_type="left_outer", num_partitions=4,
                            on=("doc_id",), right_on=("vbpl_id",))
     pdf = joined.to_pandas()[["doc_id", "doc_type", "sector", "n_sections"]]

@@ -59,7 +59,7 @@ def test_salted_group_agg_matches_plain_sum():
 
 
 def test_bucketed_join_matches_pandas_merge():
-    """bucketed_join (tagged-union single-shuffle equi-join) == pd.merge,
+    """bucketed_join (single-exchange equi-join) == pd.merge,
     including 64-bit hash keys that would corrupt via a float round-trip
     and string payloads needing typed null padding."""
     from vbpl_web_crawl_ray.stages.shuffle import bucketed_join

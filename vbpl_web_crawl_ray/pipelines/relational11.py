@@ -45,7 +45,7 @@ def q_lorenz_decile_shares(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"user_id": vc.index.to_numpy(np.int64),
                              "x": vc.to_numpy(np.int64)})
 
-    users = bucketed_group_apply(ev, "user_id", per_user).materialize()
+    users = bucketed_group_apply(ev, "user_id", per_user)
 
     hist = reduce_partials(users, "x", lambda df: pd.DataFrame(
         {"x": df["x"], "f": np.int64(1)}))

@@ -156,23 +156,25 @@ def q_zorder_layout_stats(sf_dir: str) -> pd.DataFrame:
     gives every tile a small rectangle in BOTH dims (what lets a reader
     prune row groups on either predicate).
 
-    100-TB shape: the min/max normalizers are two streaming aggregates
-    (no driver column pull); the scan emits per-tile partials
-    (<= 64 x n_batches cells) merged driver-side with min/max/sum —
-    the parts themselves never gather. On a real store the follow-up is
-    ``sort(z)`` + ``write_parquet`` (the layout rewrite itself); the
-    stats here are the before/after measurement that justifies it.
+    100-TB shape: the min/max normalizers are one two-phase aggregate
+    over a constant key (no driver column pull, no all-to-all); the scan
+    emits per-tile partials (<= 64 x n_batches cells) merged driver-side
+    with min/max/sum — the parts themselves never gather. On a real
+    store the follow-up is ``sort(z)`` + ``write_parquet`` (the layout
+    rewrite itself); the stats here are the before/after measurement
+    that justifies it.
     """
     parts = base_dataset(sf_dir, "part",
                          columns=["p_size", "p_retailprice"])
     cents_of = lambda df: np.round(  # noqa: E731 — shared idiom
         df["p_retailprice"].to_numpy(np.float64) * 100).astype(np.int64)
 
-    from ray.data.aggregate import Max, Min
-    mm = parts.map_batches(
-        lambda df: pd.DataFrame({"c": cents_of(df)}),
-        batch_format="pandas").aggregate(Min("c"), Max("c"))
-    lo, hi = int(mm["min(c)"]), int(mm["max(c)"])
+    def bounds(df: pd.DataFrame) -> pd.DataFrame:
+        c = cents_of(df)
+        return pd.DataFrame({"k": np.int64(0), "lo": c, "hi": c})
+
+    mm = reduce_partials(parts, "k", bounds, agg={"lo": "min", "hi": "max"})
+    lo, hi = int(mm["lo"].iloc[0]), int(mm["hi"].iloc[0])
     span = hi - lo + 1
 
     def tile_stats(df: pd.DataFrame) -> pd.DataFrame:

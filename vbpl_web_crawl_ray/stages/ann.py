@@ -193,14 +193,17 @@ def _sample_kmeans(embds: rd.Dataset, dim: int, n_cells: int,
     iterations then run in-process on that tiny matrix instead of
     paying a full distributed pass per iteration; the corpus itself is
     only streamed once, by the assignment pass in build_ivf_index.
-    Deterministic: modulus sampling + seeded init, no RNG state shared
-    across workers."""
+    Deterministic: modulus sampling in vec_id order + seeded init, no RNG
+    state shared across workers."""
     cap = sample_cap or max(256 * n_cells, 2048)
     n = embds.count()
     m = max(1, n // cap)
+    # block completion order varies run to run; k-means++ indexes into
+    # the sample, so it is put in vec_id order first
     sample = (embds.map_batches(
         lambda df: df[df["vec_id"].to_numpy() % m == 0],
-        batch_format="pandas").to_pandas())
+        batch_format="pandas").to_pandas()
+        .sort_values("vec_id", kind="stable"))
     x = blob_matrix(sample["emb"], np.float64)
     n_cells = min(n_cells, len(x))
     rng = np.random.default_rng(seed)

@@ -176,24 +176,23 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
     share a shingle within each one's first ``|S| - ceil(t*|S|) + 1``
     shingles. Any deterministic total order works for correctness — here
     (document_frequency, shingle), so no global rank dictionary is needed
-    and every stage is distributed, with the shuffle count minimized
-    (each Ray all-to-all costs seconds of fixed latency regardless of
-    volume, so stages that CAN share a shuffle do):
+    and every stage is distributed, with the exchange count minimized
+    (stages that CAN share an exchange do):
 
-      shuffle 1 (by shingle_h): every occurrence of a shingle lands in
-        the same bucket, so the global document frequency is computed
-        in-bucket and attached to the (doc, shingle) rows in place — no
+      exchange 1 (by shingle_h): the shingle sets explode into (doc,
+        shingle) rows on the map side; every occurrence of a shingle
+        lands in the same bucket, so the global document frequency is
+        computed in-bucket and attached to the rows in place — no
         separate counts pass, no join-back;
-      shuffle 2 (by doc_id): per-doc prefix emit under the (df, shingle)
-        order;
-      shuffle 3 (by shingle_h): per-shingle pair generation with the
-        exact size-ratio prune (duplicate candidates across shingles are
-        kept — the verify is idempotent and the final result is small);
-      shuffle 4 (by doc key): candidate pair HALVES union'd with the
-        shingle-set table pick up their side's set — the full corpus
-        moves once here, not twice as with one join per side;
-      shuffle 5 (by id_a, candidate-sized): the two halves of each pair
-        meet, exact Jaccard vectorized per bucket.
+      exchange 2 (by doc_id): per-doc prefix emit under the (df, shingle)
+        order, one stable sort per bucket;
+      exchange 3 (by shingle_h): pair generation as a self-merge on the
+        shingle with the exact size-ratio prune (duplicate candidates
+        across shingles are kept — the verify is idempotent and the
+        final result is small);
+      verify (``_attach_pair_payloads``): the candidate pairs pick up both
+        shingle sets (one exchange by id_a while the sets fit the
+        broadcast gate, two past it), exact Jaccard per batch.
 
     Nothing materializes on the driver until the final (small) pair list.
     """
@@ -216,7 +215,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
             if blob:
                 for sh in blob.split(_SEP):
                     ids.append(did); shs.append(sh)
-        # shingle_h: 64-bit identity used as the shuffle/join/bucket KEY
+        # shingle_h: 64-bit identity used as the exchange/join/bucket KEY
         # (8 bytes instead of a ~30-byte string); the string itself rides
         # along only to the per-doc stage, where the (c, shingle) total
         # order needs it. A hash collision merges two shingles' counts and
@@ -227,9 +226,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
                              "shingle_h": hash64(shs).astype(np.int64)
                              if shs else np.array([], dtype=np.int64)})
 
-    exploded = sets_ds.map_batches(explode, batch_format="pandas")
-
-    # shuffle 1: document frequencies computed in-bucket (a shingle's
+    # exchange 1: document frequencies computed in-bucket (a shingle's
     # occurrences can't straddle buckets) and attached in place — the
     # vocabulary never lands on the driver and never needs a join-back.
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
@@ -237,51 +234,35 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
             c=g.groupby("shingle_h")["shingle_h"].transform("size")
                .astype(np.int64))
 
-    with_df = bucketed_group_apply(exploded, "shingle_h", attach_df)
+    with_df = bucketed_group_apply(sets_ds, "shingle_h", attach_df,
+                                   partial_fn=explode)
 
     def per_doc_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for did, sub in g.groupby("doc_id"):
-            sub = sub.sort_values(["c", "shingle"], kind="mergesort")
-            size = len(sub)
-            pre = sub.head(size - int(np.ceil(threshold * size)) + 1)
-            out.append(pd.DataFrame({
-                "shingle_h": pre["shingle_h"].to_numpy(),
-                "doc_id": np.full(len(pre), did, dtype=np.int64),
-                "size": np.full(len(pre), size, dtype=np.int64)}))
-        if not out:
-            return pd.DataFrame({"shingle_h": pd.Series(dtype=np.int64),
-                                 "doc_id": pd.Series(dtype=np.int64),
-                                 "size": pd.Series(dtype=np.int64)})
-        return pd.concat(out, ignore_index=True)
+        g = g.sort_values(["doc_id", "c", "shingle"], kind="mergesort")
+        by_doc = g.groupby("doc_id", sort=False)
+        size = by_doc["doc_id"].transform("size").to_numpy(np.int64)
+        keep = (by_doc.cumcount().to_numpy()
+                < size - np.ceil(threshold * size).astype(np.int64) + 1)
+        return pd.DataFrame({"shingle_h": g["shingle_h"].to_numpy()[keep],
+                             "doc_id": g["doc_id"].to_numpy()[keep],
+                             "size": size[keep]})
 
     prefix = bucketed_group_apply(with_df, "doc_id", per_doc_prefix)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # drop singleton shingles vectorized, then pair per surviving
-        # shingle with the exact size-ratio prune (J >= t requires
-        # min|.|/max|.| >= t) applied in-bucket
-        g = g[g.groupby("shingle_h")["shingle_h"].transform("size") >= 2]
-        out_a, out_b = [], []
-        for _, sub in g.groupby("shingle_h"):
-            sub = sub.drop_duplicates("doc_id").sort_values("doc_id")
-            ids = sub["doc_id"].to_numpy()
-            if len(ids) < 2:
-                continue
-            sizes = sub["size"].to_numpy(dtype=np.float64)
-            a, b = np.triu_indices(len(ids), k=1)
-            keep = (np.minimum(sizes[a], sizes[b])
-                    >= threshold * np.maximum(sizes[a], sizes[b]))
-            out_a.append(ids[a][keep]); out_b.append(ids[b][keep])
-        if not out_a:
-            return pd.DataFrame(_EMPTY_PAIRS)
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b)})
+        # every pair of docs sharing a prefix shingle, once per shingle,
+        # with the exact size-ratio prune (J >= t requires
+        # min|.|/max|.| >= t)
+        g = g.drop_duplicates(["shingle_h", "doc_id"])
+        m = g.merge(g, on="shingle_h")
+        sa = m["size_x"].to_numpy(np.float64)
+        sb = m["size_y"].to_numpy(np.float64)
+        keep = ((m["doc_id_x"].to_numpy() < m["doc_id_y"].to_numpy())
+                & (np.minimum(sa, sb) >= threshold * np.maximum(sa, sb)))
+        return pd.DataFrame({"id_a": m["doc_id_x"].to_numpy()[keep],
+                             "id_b": m["doc_id_y"].to_numpy()[keep]})
 
-    cand = bucketed_group_apply(prefix, "shingle_h", pairs_in_bucket).materialize()
-    if cand.count() == 0:
-        return pd.DataFrame({**_EMPTY_PAIRS,
-                             "jaccard": pd.Series(dtype=np.float64)})
+    cand = bucketed_group_apply(prefix, "shingle_h", pairs_in_bucket)
 
     # verify shuffles A+B: each side's shingle set attaches to its pair
     # halves (full corpus moves once), halves reunite candidate-sized.
@@ -301,9 +282,11 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
         return pd.DataFrame(rows, columns=["id_a", "id_b", "jaccard"]).astype(
             {"id_a": np.int64, "id_b": np.int64, "jaccard": np.float64})
 
-    return (with_ab.map_batches(jaccard, batch_format="pandas")
-            .to_pandas().sort_values(["id_a", "id_b"])
-            .reset_index(drop=True))
+    out = with_ab.map_batches(jaccard, batch_format="pandas").to_pandas()
+    if out.empty:
+        return pd.DataFrame({**_EMPTY_PAIRS,
+                             "jaccard": pd.Series(dtype=np.float64)})
+    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------

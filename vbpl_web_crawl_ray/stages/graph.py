@@ -16,8 +16,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .shuffle import (broadcast_get, bucketed_group_apply, compact_for_join,
-                      reduce_partials)
+from .shuffle import broadcast_get, bucketed_group_apply, reduce_partials
 
 
 def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
@@ -71,12 +70,10 @@ def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
                               on=("u",), right_on=("node",))
                         .map_batches(as_cand(0), batch_format="pandas"))
         selfs = labels_ds.map_batches(as_cand(1), batch_format="pandas")
-        new_labels = bucketed_group_apply(prop.union(selfs), "node", take_min).materialize()
+        new_labels = bucketed_group_apply(prop.union(selfs), "node", take_min)
         changed = new_labels.sum("changed")
-        # compacted: labels feed the next round's hash joins, and
-        # map_groups-derived datasets carry schema-less empty blocks
-        labels_ds = compact_for_join(new_labels.map_batches(
-            lambda df: df[["node", "component"]], batch_format="pandas"))
+        labels_ds = new_labels.map_batches(
+            lambda df: df[["node", "component"]], batch_format="pandas")
         if not changed:
             break
         # pointer jumping (shortcutting): component <- component's

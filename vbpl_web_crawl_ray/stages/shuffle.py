@@ -3,10 +3,20 @@
 Ray Data's native ``groupby(...).aggregate/map_groups`` shuffles and then
 pays per-group scheduling overhead — pathological when there are many tiny
 groups (95k window keys took ~20s where DuckDB takes 50ms). The fix is the
-classic explicit pattern: bucket rows by hash(key) % B in a vectorized
-map_batches, shuffle only B coarse buckets, and run the per-key logic
-VECTORIZED (pandas groupby) inside each bucket. One all-to-all over B
-partitions instead of one per distinct key.
+classic explicit pattern: bucket rows by hash(key) % B, move only B coarse
+buckets, and run the per-key logic VECTORIZED (pandas groupby) inside each
+bucket. One exchange over B partitions instead of one per distinct key.
+
+The exchange itself (:func:`_exchange`) is plain Ray tasks, not a Ray Data
+all-to-all: one map task per input block cuts it into B frames
+(:func:`cut_buckets`, the same cut the upsert sink uses), the driver reads
+only their row counts, and one task per non-empty bucket concatenates its
+frames in block order and applies the bucket function. Ray Data's
+sort-based groupby paid a sampling pass and a sort per call, a fixed cost
+of about half a second at small scale whatever the volume; the task
+exchange costs two rounds of task launches. It runs when called (an
+all-to-all is a barrier anyway) and its result is a materialized dataset;
+no row reaches the driver.
 
 At cluster scale B is sized to the cluster (≈ 2-4x total cores).
 ``bucket_of`` is the single place partitioning is decided; hot-key
@@ -22,9 +32,11 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
-_BUCKET = "__bucket"
 _HKEY = "bucket_shuffle_0"  # exactly 16 bytes
 
 #: Side tables at or under this measured size ride as one ray.put
@@ -59,7 +71,6 @@ def broadcast_get(ref):
     key = ref.hex()
     if key in _broadcast_cache:
         return _broadcast_cache[key]
-    import ray
     value = ray.get(ref)
     _broadcast_cache[key] = value
     while len(_broadcast_cache) > _BROADCAST_CACHE_ENTRIES:
@@ -86,7 +97,6 @@ def resolve_num_buckets(requested: int | None = None) -> int:
     if env:
         return max(1, int(env))
     try:
-        import ray
         if ray.is_initialized():
             cores = int(ray.cluster_resources().get("CPU", 0)) or \
                 (os.cpu_count() or 4)
@@ -106,6 +116,19 @@ def bucket_of(values, num_buckets: int) -> np.ndarray:
         return (h % np.uint64(num_buckets)).astype(np.int64)
     return (pd.util.hash_array(arr.astype(object), hash_key=_HKEY)
             % num_buckets).astype(np.int64)
+
+
+def cut_buckets(df: pd.DataFrame, key: str, num_buckets: int) -> list:
+    """``df`` cut into ``num_buckets`` frames by ``bucket_of(df[key])``,
+    each keeping the rows' order, followed by the list of their row
+    counts: the map side of :func:`_exchange` and of the upsert sink's
+    merge (``stages/upsert``)."""
+    b = bucket_of(df[key].to_numpy(), num_buckets)
+    order = np.argsort(b, kind="stable")
+    bounds = np.searchsorted(b[order], np.arange(num_buckets + 1))
+    rows = df.iloc[order]
+    return [*(rows.iloc[bounds[i]:bounds[i + 1]] for i in range(num_buckets)),
+            np.diff(bounds).tolist()]
 
 
 def group_cells(df: pd.DataFrame, keys: str | list[str],
@@ -148,9 +171,9 @@ def reduce_partials(ds: rd.Dataset, keys: str | list[str],
     cells = ds.map_batches(partial, batch_format="pandas")
     out = cells.to_pandas()
     if out.columns.empty:  # every block came back empty: keep the schema
-        s = cells.schema().base_schema
-        out = pd.DataFrame({n: pd.Series(dtype=t)
-                            for n, t in zip(s.names, s.types)})
+        out = _empty_frame(cells)
+        if out.columns.empty and fn is None:  # no block reached partial
+            out = _empty_frame(ds)
     return group_cells(out, keys, agg)
 
 
@@ -196,8 +219,6 @@ def attach_lookup(fact: rd.Dataset, fact_key: str, side: rd.Dataset,
     null-fill), so consumers are strategy-invariant; the forced-gate
     pytest pins that bit-exactly.
     """
-    import ray
-
     mode, small = broadcast_or_bucketed(side, gate_bytes, probe=probe)
     if mode == "bucketed":
         # project the side to key + payloads, align the key name
@@ -223,123 +244,145 @@ def attach_lookup(fact: rd.Dataset, fact_key: str, side: rd.Dataset,
     return fact.map_batches(attach, batch_format="pandas")
 
 
+@ray.remote
+def _cut(block, key: str, num_buckets: int, prep):
+    """Map task of :func:`_exchange`: one input block as a pandas frame,
+    ``prep`` applied when it has rows (like ``map_batches``, which skips
+    empty blocks), cut by :func:`cut_buckets`."""
+    df = BlockAccessor.for_block(block).to_pandas()
+    if len(df) and prep is not None:
+        df = prep(df)
+    if not len(df):
+        return (*[df] * num_buckets, [0] * num_buckets)
+    return tuple(cut_buckets(df, key, num_buckets))
+
+
+@ray.remote
+def _apply(fn, sizes: list[int], *frames):
+    """Apply task of :func:`_exchange`: ``fn`` on one bucket's frames,
+    regrouped into one list per input side."""
+    ends = np.cumsum(sizes)
+    return fn(*(list(frames[e - n:e]) for n, e in zip(sizes, ends)))
+
+
+def _exchange(sides: list[tuple], fn: Callable, num_buckets: int) -> list:
+    """Hash exchange over plain Ray tasks; returns the output block refs
+    in bucket order.
+
+    ``sides`` holds ``(dataset, key, prep)`` triples. Every block of every
+    side gets one :func:`_cut` task that returns ``num_buckets`` frames
+    plus their row counts; the driver fetches only the counts. Every
+    bucket in which the first side has rows gets one :func:`_apply` task
+    that calls ``fn`` with one list per side of that bucket's non-empty
+    frames, in block order, so rows keep their arrival order within a
+    bucket.
+    """
+    splits = [[_cut.options(num_returns=num_buckets + 1).remote(
+                   ref, key, num_buckets, prep)
+               for bundle in ds.iter_internal_ref_bundles()
+               for ref in bundle.block_refs]
+              for ds, key, prep in sides]
+    counts = iter(ray.get([s[-1] for side in splits for s in side]))
+    counts = [[next(counts) for _ in side] for side in splits]
+    out = []
+    for b in range(num_buckets):
+        frames = [[s[b] for s, c in zip(side, cs) if c[b]]
+                  for side, cs in zip(splits, counts)]
+        if frames[0]:
+            out.append(_apply.remote(fn, [len(f) for f in frames],
+                                     *(f for side in frames for f in side)))
+    return out
+
+
+def _empty_frame(ds: rd.Dataset) -> pd.DataFrame:
+    """A zero-row frame with ``ds``'s columns (none when it has no
+    schema); ``ds`` must have executed, so its schema is cached."""
+    if ds.schema() is None:
+        return pd.DataFrame()
+    return _pa_schema(ds).empty_table().to_pandas()
+
+
 def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
                   num_buckets: int | None = None, how: str = "inner",
                   right_on: str | None = None) -> rd.Dataset:
-    """Distributed equi-join as ONE bucketed shuffle of the tagged union.
+    """Distributed equi-join as ONE hash exchange of both sides.
 
     ``Dataset.join`` runs an actor-pool hash-join operator whose fixed
     startup/build cost dominates at small-to-medium scale (~3-5 s per
     call measured at sf0.1) while moving exactly the same bytes as a
-    bucket shuffle.  This joins the way the rest of this module shuffles:
-    pad both sides to a common Arrow schema (typed nulls), tag the side,
-    union (zero-copy), bucket by hash(key) % B, and pandas-merge inside
-    each bucket.  Same all-to-all volume, no join-actor pool, and
-    placement stays `bucket_of`.
+    bucket exchange. This joins the way the rest of this module groups:
+    both sides are cut by hash(key) % B in :func:`_exchange` and each
+    bucket pandas-merges its left and right frames. Placement stays
+    `bucket_of`. Like every exchange here it runs when called.
 
-    Arrow-typed padding (not pandas NaN) is load-bearing: int64 keys with
-    NaN would round-trip through float64 and corrupt 64-bit hash keys.
-    The per-bucket filter drops the padded nulls BEFORE to_pandas, so
-    each side converts null-free at its original dtype.
+    Each bucket's output is cast to one Arrow schema, so every block has
+    the same schema: pandas null-fills unmatched rows on how='left',
+    which would otherwise turn int64 right-side columns into float64 in
+    some buckets only.
 
     Caller contract: besides the key, column names must not overlap
     (rename first), and ``how`` is inner/left (right/full would need
     null-padded emit of unmatched right rows; nothing here needs them).
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     num_buckets = resolve_num_buckets(num_buckets)
+    rename = None
     if right_on and right_on != on:
-        right = right.map_batches(
-            lambda t: t.rename_columns(
-                [on if c == right_on else c for c in t.column_names]),
-            batch_format="pyarrow")
+        def rename(df: pd.DataFrame) -> pd.DataFrame:
+            return df.rename(columns={right_on: on})
 
-    def _pa_schema(ds: rd.Dataset) -> pa.Schema:
-        s = ds.schema()
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return base
-        py_map = {int: pa.int64(), float: pa.float64(), str: pa.string(),
-                  bytes: pa.binary(), bool: pa.bool_()}
-
-        def conv(t):
-            if isinstance(t, pa.DataType):
-                return t
-            if t in py_map:
-                return py_map[t]
-            d = np.dtype(t)
-            if d.kind in "UO":
-                return pa.string()
-            return pa.from_numpy_dtype(d)
-
-        return pa.schema([(n, conv(t)) for n, t in zip(s.names, s.types)])
-
+    left, right = left.materialize(), right.materialize()
     lschema, rschema = _pa_schema(left), _pa_schema(right)
+    if rename is not None:
+        rschema = pa.schema([f.with_name(on) if f.name == right_on else f
+                             for f in rschema])
     lcols = list(lschema.names)
-    rcols = list(rschema.names)
-    rtypes = dict(zip(rschema.names, rschema.types))
-    ltypes = dict(zip(lschema.names, lschema.types))
-    rextra = [c for c in rcols if c != on and c not in lcols]
-    lextra = [c for c in lcols if c != on and c not in rcols]
-    allcols = [on] + [c for c in lcols if c != on] + rextra
-
-    alltypes = {**rtypes, **ltypes}
-
-    def pad(side: int, extra: list[str], types: dict):
-        def f(t: pa.Table) -> pa.Table:
-            if on not in t.column_names:   # zero-column empty block from
-                t = pa.table({c: pa.nulls(0, type=alltypes[c])  # map_groups
-                              for c in (lcols if side == 0 else rcols)})
-            n = len(t)
-            cols = {c: t[c] for c in t.column_names}
-            for c in extra:
-                cols[c] = pa.nulls(n, type=types[c])
-            cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            key = t[on].to_numpy(zero_copy_only=False)
-            cols[_BUCKET] = pa.array(bucket_of(key, num_buckets))
-            return pa.table({c: cols[c] for c in allcols + ["__side", _BUCKET]})
-        return f
-
-    lp = left.map_batches(pad(0, rextra, rtypes), batch_format="pyarrow")
-    rp = right.map_batches(pad(1, lextra, ltypes), batch_format="pyarrow")
-
+    rextra = [c for c in rschema.names if c != on and c not in lcols]
+    alltypes = {**dict(zip(rschema.names, rschema.types)),
+                **dict(zip(lschema.names, lschema.types))}
     out_order = lcols + rextra
     out_schema = pa.schema([(c, alltypes[c]) for c in out_order])
 
-    def merge(g: pa.Table):
-        side = g["__side"]
-        lt = g.filter(pc.equal(side, 0)).select(lcols).combine_chunks()
-        rt = g.filter(pc.equal(side, 1)).select(rcols).combine_chunks()
-        out = lt.to_pandas().merge(rt.to_pandas(), on=on, how=how)
-        # pandas null-fills unmatched rows on how='left', silently
-        # promoting int64 right-extras to float64 in buckets that contain
-        # unmatched keys; casting every bucket back to the declared Arrow
-        # schema (nullable) keeps block schemas identical for downstream
-        # Arrow consumers (write_parquet / union / further joins). The
-        # pandas schema metadata goes: Ray Data cannot hash a schema that
-        # carries any, so it would skip schema de-duplication.
+    def side(frames: list, schema: pa.Schema) -> pd.DataFrame:
+        if not frames:
+            return schema.empty_table().to_pandas()
+        return pd.concat(frames, ignore_index=True)[schema.names]
+
+    def merge(lframes: list, rframes: list) -> pa.Table:
+        out = side(lframes, lschema).merge(side(rframes, rschema),
+                                           on=on, how=how)
+        # the pandas schema metadata goes: Ray Data cannot hash a schema
+        # that carries any, so it would skip schema de-duplication
         return pa.Table.from_pandas(out[out_order], schema=out_schema,
                                     preserve_index=False
                                     ).replace_schema_metadata(None)
 
-    return (lp.union(rp).groupby(_BUCKET)
-              .map_groups(merge, batch_format="pyarrow"))
+    refs = _exchange([(left, on, None), (right, on, rename)], merge,
+                     num_buckets)
+    if not refs:
+        return rd.from_arrow(out_schema.empty_table())
+    return rd.from_arrow_refs(refs)
 
 
-def compact_for_join(ds: rd.Dataset, num_blocks: int = 8) -> rd.Dataset:
-    """Make a map_groups-derived dataset safe as a ``Dataset.join`` input.
+def _pa_schema(ds: rd.Dataset) -> pa.Schema:
+    """``ds``'s schema as Arrow types (pandas-block schemas converted)."""
+    s = ds.schema()
+    base = getattr(s, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    py_map = {int: pa.int64(), float: pa.float64(), str: pa.string(),
+              bytes: pa.binary(), bool: pa.bool_()}
 
-    Ray's sort-based ``groupby().map_groups`` emits ZERO-COLUMN empty
-    blocks at empty group boundaries. The hash-join aggregator builds each
-    partition table from the shards it receives — a partition whose only
-    shards came from those schema-less blocks becomes a zero-column table
-    and pyarrow fails with 'No match or multiple matches for key field'.
-    ``repartition`` coalesces blocks and drops the empties, restoring a
-    consistent schema. Only needed on join inputs; plain consumers
-    (iter_batches/to_pandas) skip empty blocks anyway."""
-    return ds.repartition(num_blocks)
+    def conv(t):
+        if isinstance(t, pa.DataType):
+            return t
+        if t in py_map:
+            return py_map[t]
+        d = np.dtype(t)
+        if d.kind in "UO":
+            return pa.string()
+        return pa.from_numpy_dtype(d)
+
+    return pa.schema([(n, conv(t)) for n, t in zip(s.names, s.types)])
 
 
 def bucketed_group_apply(ds: rd.Dataset, key: str,
@@ -347,25 +390,35 @@ def bucketed_group_apply(ds: rd.Dataset, key: str,
                          num_buckets: int | None = None,
                          partial_fn: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
                          ) -> rd.Dataset:
-    """groupby(key)-equivalent with a coarse shuffle.
+    """groupby(key)-equivalent over one hash exchange (:func:`_exchange`).
 
-    ``partial_fn`` (optional): per-batch combiner BEFORE the shuffle (must
-    keep ``key``). ``bucket_fn``: applied to one bucket's frame, must do its
-    own per-key pandas groupby (:func:`group_cells` when the output feeds
-    :func:`reduce_partials`); all keys with the same hash bucket arrive
-    together, keys never straddle buckets.
+    ``partial_fn`` (optional): applied to each non-empty input block
+    before the exchange (a combiner, or any row transform; its output
+    must keep ``key``). ``bucket_fn``: applied to one bucket's frame,
+    must do its own per-key pandas groupby (:func:`group_cells` when the
+    output feeds :func:`reduce_partials`); all keys with the same hash
+    bucket arrive together, keys never straddle buckets, and rows arrive
+    in input block order. ``bucket_fn`` never sees an empty bucket;
+    when the whole input is empty it runs once, on a zero-row frame with
+    the input's columns, so the empty result still has its output
+    columns. The result holds one block per non-empty bucket, in bucket
+    order.
+
+    Eager: the input executes and the exchange completes when this is
+    called (an all-to-all is a barrier anyway); the returned dataset is
+    materialized. No row reaches the driver.
     """
     num_buckets = resolve_num_buckets(num_buckets)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def apply(frames: list) -> pd.DataFrame:
+        return bucket_fn(pd.concat(frames, ignore_index=True))
+
+    refs = _exchange([(ds, key, partial_fn)], apply, num_buckets)
+    if refs:
+        return rd.from_pandas_refs(refs)
+    empty = _empty_frame(ds)
+    if not empty.columns.empty:
         if partial_fn is not None:
-            df = partial_fn(df)
-        return df.assign(**{_BUCKET: bucket_of(df[key].to_numpy(),
-                                                num_buckets)})
-
-    def apply(g: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(g.drop(columns=[_BUCKET]))
-
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-              .groupby(_BUCKET)
-              .map_groups(apply, batch_format="pandas"))
+            empty = partial_fn(empty)
+        empty = bucket_fn(empty)
+    return rd.from_pandas(empty)

@@ -41,7 +41,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from .shuffle import bucket_of, bucketed_group_apply, resolve_num_buckets
+from .shuffle import bucketed_group_apply, cut_buckets, resolve_num_buckets
 
 _MANIFEST = "_manifest.json"
 
@@ -92,10 +92,8 @@ def _split(src, key_cols: list[str], ts_col, num_buckets: int,
     rows = t.to_pandas()
     if round_no is not None:
         rows["round"] = round_no
-    rows = newest_rows(key_cols, ts_col)(rows)
-    b = bucket_of(rows[key_cols[0]].to_numpy(), num_buckets)
-    parts = [rows[b == i] for i in range(num_buckets)]
-    return (*parts, [len(p) for p in parts])
+    return tuple(cut_buckets(newest_rows(key_cols, ts_col)(rows),
+                             key_cols[0], num_buckets))
 
 
 @ray.remote
