@@ -61,6 +61,24 @@ def test_levenshtein_triangle(a, b, c):
         fuzzy.levenshtein(a, b) + fuzzy.levenshtein(b, c)
 
 
+# ASCII plus Vietnamese letters (precomposed diacritics, đ) and spaces:
+# the alphabet of the crawl's titles
+vi_words = st.text(alphabet="abcdeghinotuy ăâđêôơưáàảãạếềểễệốồổỗộứừửữựíìỉĩị"
+                            "ĐÂƯ", min_size=0, max_size=60)
+
+
+@given(st.one_of(st.text(max_size=40), vi_words),
+       st.one_of(st.text(max_size=40), vi_words))
+@settings(max_examples=400, deadline=None)
+def test_ratio_bit_parallel_equals_dp(a, b):
+    """The bit-parallel LCS ratio equals the sub-cost-2 DP bit for bit."""
+    total = len(a) + len(b)
+    want = 1.0 if total == 0 else \
+        (total - fuzzy.levenshtein(a, b, sub_cost=2)) / total
+    assert fuzzy.ratio(a, b) == want
+    assert fuzzy.ratio(b, a) == want
+
+
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_round_half_away_close_to_value(x):

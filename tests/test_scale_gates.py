@@ -60,7 +60,37 @@ def test_broadcast_or_bucketed_modes(ray_session):
     mode, small = broadcast_or_bucketed(side)
     assert mode == "broadcast" and isinstance(small, pd.DataFrame)
     mode, ds = broadcast_or_bucketed(side, gate_bytes=1)
-    assert mode == "bucketed" and ds is side
+    assert mode == "bucketed"
+    pd.testing.assert_frame_equal(ds.to_pandas(), small)
+
+
+@pytest.mark.parametrize("gate_bytes", [None, 1])
+def test_gate_executes_derived_side_once(ray_session, monkeypatch,
+                                         gate_bytes):
+    """A derived side (map_batches over a read) runs one Ray Data
+    execution per gate, whichever path the gate picks; the bucketed
+    side comes back materialized, so consuming it executes nothing."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+    from vbpl_web_crawl_ray.stages.shuffle import broadcast_or_bucketed
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        runs.append(1)
+        return execute(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    side = rd.read_parquet(f"{SF}/nation.parquet").map_batches(
+        lambda df: df[["n_nationkey", "n_regionkey"]], batch_format="pandas")
+    mode, got = broadcast_or_bucketed(side, gate_bytes=gate_bytes)
+    assert len(runs) == 1
+    if mode == "bucketed":
+        got = got.to_pandas()
+        assert len(runs) == 1
+    assert mode == ("broadcast" if gate_bytes is None else "bucketed")
+    assert sorted(got["n_nationkey"]) == list(range(25))
 
 
 def test_bucket_count_invariance(ray_session, monkeypatch):

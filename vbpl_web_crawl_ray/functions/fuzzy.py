@@ -9,8 +9,12 @@ The reference accepts a candidate when ``Levenshtein.ratio >= 0.8``
 - :func:`similarity` — 1 - unit-cost-lev / max(len); used by the
   oracle-backed query because DuckDB's ``levenshtein()`` is unit-cost.
 
-DP is numpy-vectorized per row with the d[j]=cur[j]-j accumulate trick for
-the sequential insertion dependency.
+With substitution cost 2 a substitution never beats a delete + insert,
+so that distance is la + lb - 2*LCS(a, b): :func:`ratio` computes the LCS
+bit-parallel (Hyyro's recurrence over Python ints, one add/and/or per
+character of ``b``). The unit-cost DP behind :func:`similarity` is
+numpy-vectorized per row with the d[j]=cur[j]-j accumulate trick for the
+sequential insertion dependency.
 """
 
 from __future__ import annotations
@@ -38,12 +42,27 @@ def levenshtein(a: str, b: str, sub_cost: int = 1) -> int:
     return int(prev[-1])
 
 
+def lcs_length(a: str, b: str) -> int:
+    """Length of the longest common subsequence, bit-parallel: bit i of
+    ``v`` is clear once a[i] is matched; each character of ``b`` updates
+    all of ``a`` in a few big-int operations."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(a):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for c in b:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
+
+
 def ratio(a: str, b: str) -> float:
     """python-Levenshtein ratio (sub cost 2) — the reference's 0.8 gate."""
     total = len(a) + len(b)
     if total == 0:
         return 1.0
-    return (total - levenshtein(a, b, sub_cost=2)) / total
+    return 2 * lcs_length(a, b) / total
 
 
 def similarity(a: str, b: str) -> float:

@@ -4,20 +4,29 @@ app/service/vbpl.py:95-114, re-expressed per SURVEY.md §3.1).
 
 Each round is ONE streaming Ray Data pass over the popped URL set:
 
-    from_arrow_refs(per-partition pop chunks)        # driver-free handoff
+    frontier partitions pop -> crawl_log/round={r}/part-{P}.parquet
+    from_items(T slice descriptors)                  # T sized to the cluster
+        -> map_batches(read slice of the crawl log)
         -> map_batches(FetchStage) -> map_batches(ParseStage)
         -> write_parquet out_dir/payload/round={r}
     meta/sections/sub_parts/anle_sections/edges/fails
         -> written per batch BY the parse tasks (content-addressed parts)
-    crawl log -> written per round BY each frontier partition
-    links -> frontier.stage() (hash(host)-routed), committed at the round
-             barrier as a sorted union
+    links + retried/failed/redirected counts
+        -> frontier.stage() (hash(host)-routed), committed at the round
+           barrier as a sorted union; commit() hands back the counts
 
-The driver touches only control data: per-round pop counts, lineage
-counters (two ints per batch via a num_cpus=0 counter actor), and the
-round barrier itself. Parsed text, edges and the crawl log — the
-data-plane outputs that grow with the corpus — never transit the driver
-or any single actor.
+The round is cut by row count, not by partition: a round that fits one
+batch is one task; a larger one is T tasks of even size, T the next
+multiple of the cluster's CPU count at or above ceil(n / batch_size), so
+every wave fills the cluster and no task exceeds batch_size rows. Each
+task reads its rows straight from the crawl-log parts the partitions
+wrote, so no Arrow table is returned by a frontier actor.
+
+The driver touches only control data: per-partition pop counts, the
+slice descriptors, the round's lineage counts and the round barrier
+itself. Parsed text, edges and the crawl log — the data-plane outputs
+that grow with the corpus — never transit the driver or any single
+actor, and the engine starts no actor besides its frontier partitions.
 
 Rounds are the determinism barrier (the reference's three phase barriers):
 crawl order is a pure function of the link graph at every parallelism
@@ -44,7 +53,8 @@ import ray.data as rd
 from ..sources.simweb import SimWeb, SimWebConfig
 from ..stages.fetch import FetchStage
 from ..stages.parse import PAYLOAD_SCHEMA, SIDE_TABLES, ParseStage
-from ..state.frontier import FrontierPartition, partition_of
+from ..state.frontier import (LINEAGE_KEYS, FrontierPartition, partition_of,
+                              read_log_rows)
 
 PAYLOAD_COLS = [f.name for f in PAYLOAD_SCHEMA]
 LOG_SCHEMA = pa.schema([
@@ -82,26 +92,38 @@ class _StatelessStage:
         return self._stage(batch)
 
 
-@ray.remote(num_cpus=0)
-class LineageCounters:
-    """Scalar lineage counters pushed by parse tasks (two ints per batch —
-    genuinely control-plane-sized, unlike the row data which the tasks
-    write themselves)."""
+def round_tasks(parts: list[tuple[str, int]], batch_size: int,
+                cpus: int) -> list[list[tuple[str, int, int]]]:
+    """Cut a round of n popped rows, held as ``(path, rows)`` crawl-log
+    parts, into tasks of even size: one task when n fits one batch, else
+    T = the next multiple of ``cpus`` at or above ceil(n / batch_size)
+    (at most n), so no task exceeds ``batch_size`` rows. Each task is a
+    list of ``(path, lo, hi)`` row ranges, parts in the given order."""
+    n = sum(rows for _, rows in parts)
+    if n <= batch_size:
+        t = 1
+    else:
+        cpus = max(cpus, 1)
+        need = -(-n // batch_size)              # ceil(n / batch_size)
+        t = min(n, -(-need // cpus) * cpus)     # next multiple of cpus
+    bounds = [n * i // t for i in range(t + 1)]
+    tasks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        pieces, start = [], 0
+        for path, rows in parts:
+            a, b = max(lo, start), min(hi, start + rows)
+            if a < b:
+                pieces.append((path, a - start, b - start))
+            start += rows
+        tasks.append(pieces)
+    return tasks
 
-    def __init__(self):
-        self.retried = 0
-        self.failed = 0
-        self.redirected = 0
 
-    def add(self, retried: int, failed: int, redirected: int = 0) -> None:
-        self.retried += retried
-        self.failed += failed
-        self.redirected += redirected
-
-    def drain(self) -> tuple[int, int, int]:
-        out = (self.retried, self.failed, self.redirected)
-        self.retried = self.failed = self.redirected = 0
-        return out
+def _read_round_slice(batch: pa.Table) -> pa.Table:
+    """Expand slice descriptors into the popped rows they name."""
+    return pa.concat_tables([read_log_rows(path, lo, hi)
+                             for pieces in batch["pieces"].to_pylist()
+                             for path, lo, hi in json.loads(pieces)])
 
 
 class CrawlEngine:
@@ -139,7 +161,10 @@ class CrawlEngine:
                                  allow_deletions=allow_deletions)
             for i in range(num_partitions)
         ]
-        self.counters = LineageCounters.remote()
+        # parse tasks push each batch's retried/failed/redirected counts
+        # to partition 0 with its staged links; every commit drains them
+        self.counters = self.actors[0]
+        self.cpus = int(ray.cluster_resources().get("CPU", 1))
         self.round = 0
         # north_rule lineage: fetched / retried / failed counters (the
         # frontier actors carry offered/deduped/robots_blocked/queued)
@@ -181,23 +206,18 @@ class CrawlEngine:
         for sub in _ROUND_DIRS:
             shutil.rmtree(os.path.join(self.out_dir, sub, f"round={r}"),
                           ignore_errors=True)
-        # drain each partition in deterministic order; pops stay in the
-        # object store as per-partition Arrow chunks (the crawl log is
-        # written by each partition as its own parquet part)
-        chunk_counts = ray.get([
-            a.pop_round_chunks.remote(
-                r, self.max_per_host,
-                os.path.join(self.out_dir, "crawl_log"),
-                chunk_rows=self.batch_size)
-            for a in self.actors])
-        if not any(chunk_counts):
+        # drain each partition in deterministic order; each writes its pops
+        # as its crawl-log part, which the round's tasks read slices of
+        log_dir = os.path.join(self.out_dir, "crawl_log")
+        parts = [p for p in ray.get([
+            a.pop_round_log.remote(r, self.max_per_host, log_dir,
+                                   self.batch_size)
+            for a in self.actors]) if p[1]]
+        if not parts:
             return False
-        refs = [a.pops_chunk.remote(j)
-                for a, n in zip(self.actors, chunk_counts)
-                for j in range(n)]
+        tasks = round_tasks(parts, self.batch_size, self.cpus)
 
         parse_kw = {"frontier_handles": self.actors,
-                    "counters": self.counters,
                     "out_dir": self.out_dir, "round_no": r,
                     "enrich": self.enrich, "store_html": self.store_html}
         fetch_kw = {"cfg": self.cfg}
@@ -206,14 +226,19 @@ class CrawlEngine:
             if self.crawl_t0 is None:
                 self.crawl_t0 = _time.time()
             fetch_kw["real_time_t0"] = self.crawl_t0
-        ds = rd.from_arrow_refs(refs)
+        # one block per task; batch_size=None keeps Ray Data from
+        # re-bundling blocks, so the round runs exactly len(tasks) tasks
+        ds = (rd.from_items([{"pieces": json.dumps(t)} for t in tasks],
+                            override_num_blocks=len(tasks))
+                .map_batches(_read_round_slice, batch_format="pyarrow",
+                             batch_size=None))
         if self.use_actors:
             ds = (ds.map_batches(FetchStage, batch_format="pyarrow",
-                                 batch_size=self.batch_size,
+                                 batch_size=None,
                                  fn_constructor_kwargs=fetch_kw,
                                  concurrency=self.fetch_concurrency)
                     .map_batches(ParseStage, batch_format="pyarrow",
-                                 batch_size=self.batch_size,
+                                 batch_size=None,
                                  fn_constructor_kwargs={"cfg": self.cfg,
                                                         **parse_kw},
                                  concurrency=self.parse_concurrency))
@@ -222,11 +247,9 @@ class CrawlEngine:
                                                  **{k: v for k, v in
                                                     fetch_kw.items()
                                                     if k != "cfg"}),
-                                 batch_format="pyarrow",
-                                 batch_size=self.batch_size)
+                                 batch_format="pyarrow", batch_size=None)
                     .map_batches(_StatelessStage(ParseStage, self.cfg, **parse_kw),
-                                 batch_format="pyarrow",
-                                 batch_size=self.batch_size))
+                                 batch_format="pyarrow", batch_size=None))
         # ONE streaming pass: fetch -> parse -> payload parquet. The parse
         # tasks side-write meta/sections/edges/fails themselves and stage
         # links to the frontier actors; the barrier below commits the
@@ -234,15 +257,10 @@ class CrawlEngine:
         ds.write_parquet(f"{self.out_dir}/payload/round={r}")
         self.last_stats = ds.stats()   # per-stage wall/cpu breakdown
 
-        ray.get([a.clear_pop_chunks.remote() for a in self.actors])
-        retried, failed, redirected = ray.get(self.counters.drain.remote())
-        popped = sum(pq.read_metadata(f).num_rows for f in glob.glob(
-            f"{self.out_dir}/crawl_log/round={r}/part-*.parquet"))
-        self.lineage["fetched"] += popped
-        self.lineage["retried"] += retried
-        self.lineage["failed"] += failed
-        self.lineage["redirected"] += redirected
-        ray.get([a.commit.remote() for a in self.actors])
+        lineage = ray.get([a.commit.remote() for a in self.actors])
+        self.lineage["fetched"] += sum(rows for _, rows in parts)
+        for k in LINEAGE_KEYS:
+            self.lineage[k] += sum(c[k] for c in lineage)
         self.round += 1
         return True
 

@@ -117,8 +117,7 @@ def q_q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
                        ["o_orderkey", "o_custkey", "o_orderdate"])
     orders = attach_lookup(raw_orders, "o_custkey",
                            cust.map_batches(seg_keys, batch_format="pandas"),
-                           "c_custkey", ["in_seg"], gate_bytes=gate_bytes,
-                           probe=cust)
+                           "c_custkey", ["in_seg"], gate_bytes=gate_bytes)
 
     def order_side(df: pd.DataFrame) -> pd.DataFrame:
         m = (df["o_orderdate"].to_numpy() < cut) \
@@ -130,7 +129,7 @@ def q_q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     dated = attach_lookup(li, "l_orderkey",
                           orders.map_batches(order_side, batch_format="pandas"),
                           "o_orderkey", ["o_orderdate"],
-                          gate_bytes=gate_bytes, probe=raw_orders)
+                          gate_bytes=gate_bytes)
 
     def revenue(df: pd.DataFrame) -> pd.DataFrame:
         m = (df["l_shipdate"].to_numpy() > cut) \

@@ -80,7 +80,7 @@ def q_late_ship_orders(sf_dir: str, grace_days: int = 60,
         batch_format="pandas")
     withattr = attach_lookup(closed, "l_orderkey", side, "o_orderkey",
                              ["o_date_us", "o_orderpriority"],
-                             gate_bytes=gate_bytes, probe=raw_orders)
+                             gate_bytes=gate_bytes)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         late = df["max_ship_us"].to_numpy(np.int64) \
@@ -291,9 +291,7 @@ def _orders_cust_nation_side(sf_dir: str, gate_bytes: int | None):
     """(o_orderkey, c_nationkey) side table with the customer hop behind
     its own size gate: customer is fact-proportional too, so past the
     gate BOTH hops (customer -> orders, orders -> lineitem) run as
-    bucketed joins; under it each is one ray.put dict. Returns
-    (side_dataset, probe_dataset) — the probe is the raw orders read
-    whose size_bytes is metadata-only."""
+    bucketed joins; under it each is one ray.put dict."""
     from ..stages.shuffle import attach_lookup
 
     raw_orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -305,7 +303,7 @@ def _orders_cust_nation_side(sf_dir: str, gate_bytes: int | None):
             "o_orderkey": df["o_orderkey"].to_numpy(),
             "c_nationkey": df["c_nationkey"].to_numpy(np.int64)}),
         batch_format="pandas")
-    return side, raw_orders
+    return side
 
 
 def q_nation_pair_trade(sf_dir: str,
@@ -347,10 +345,9 @@ def q_nation_pair_trade(sf_dir: str,
                      as_index=False).sum())
 
     parts = li.map_batches(partial, batch_format="pandas")
-    side, probe = _orders_cust_nation_side(sf_dir, gate_bytes)
+    side = _orders_cust_nation_side(sf_dir, gate_bytes)
     withn = attach_lookup(parts, "l_orderkey", side, "o_orderkey",
-                          ["c_nationkey"], gate_bytes=gate_bytes,
-                          probe=probe)
+                          ["c_nationkey"], gate_bytes=gate_bytes)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -499,8 +496,7 @@ def q_linestatus_priority_counts(sf_dir: str,
 
     parts = li.map_batches(partial, batch_format="pandas")
     withh = attach_lookup(parts, "l_orderkey", side, "o_orderkey",
-                          ["o_high"], gate_bytes=gate_bytes,
-                          probe=raw_orders)
+                          ["o_high"], gate_bytes=gate_bytes)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         hi = df["o_high"].to_numpy(np.int64)
@@ -786,10 +782,9 @@ def q_nation_share_of_region(sf_dir: str,
             .groupby("l_orderkey", as_index=False).sum())
 
     parts = li.map_batches(partial, batch_format="pandas")
-    side, probe = _orders_cust_nation_side(sf_dir, gate_bytes)
+    side = _orders_cust_nation_side(sf_dir, gate_bytes)
     withn = attach_lookup(parts, "l_orderkey", side, "o_orderkey",
-                          ["c_nationkey"], gate_bytes=gate_bytes,
-                          probe=probe)
+                          ["c_nationkey"], gate_bytes=gate_bytes)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"nk": df["c_nationkey"].to_numpy(np.int64),
@@ -909,12 +904,12 @@ def _orders_cust_nation_side_window(sf_dir: str, lo: str, hi: str,
     orders = raw.map_batches(window, batch_format="pandas")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     withn = attach_lookup(orders, "o_custkey", cust, "c_custkey",
-                          ["c_nationkey"], gate_bytes=gate_bytes, probe=raw)
+                          ["c_nationkey"], gate_bytes=gate_bytes)
     return withn.map_batches(
         lambda df: pd.DataFrame({
             "o_orderkey": df["o_orderkey"].to_numpy(),
             "c_nationkey": df["c_nationkey"].to_numpy(np.int64)}),
-        batch_format="pandas"), raw
+        batch_format="pandas")
 
 
 def q_local_supplier_volume(sf_dir: str, region: str = "ASIA",
@@ -958,11 +953,10 @@ def q_local_supplier_volume(sf_dir: str, region: str = "ASIA",
                          as_index=False).sum())
 
     parts = li.map_batches(partial, batch_format="pandas")
-    side, probe = _orders_cust_nation_side_window(sf_dir, year_lo, year_hi,
-                                                  gate_bytes)
+    side = _orders_cust_nation_side_window(sf_dir, year_lo, year_hi,
+                                           gate_bytes)
     withn = attach_lookup(parts, "l_orderkey", side, "o_orderkey",
-                          ["c_nationkey"], gate_bytes=gate_bytes,
-                          probe=probe)
+                          ["c_nationkey"], gate_bytes=gate_bytes)
 
     def local_cells(df: pd.DataFrame) -> pd.DataFrame:
         df = df.dropna(subset=["c_nationkey"])
@@ -1067,7 +1061,7 @@ def q_idle_rich_customers(sf_dir: str, recent: str = "1999-01-01",
 
     flagged = attach_lookup(cust.map_batches(rich, batch_format="pandas"),
                             "c_custkey", seen, "o_custkey", ["has_order"],
-                            gate_bytes=gate_bytes, probe=raw_orders)
+                            gate_bytes=gate_bytes)
 
     def idle_cells(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["has_order"].isna()]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 
 import pandas as pd
+import pyarrow.parquet as pq
 import ray.data as rd
 
 _DS_CACHE: dict[tuple, rd.Dataset] = {}
@@ -74,7 +75,11 @@ def base_dataset(sf_dir: str, table: str,
         # registry never pins superseded blocks
         for k in [k for k in _DS_CACHE if k[:2] == (sf_dir, table)]:
             del _DS_CACHE[k]
-        ds = rd.read_parquet(path).materialize()
+        # the pandas schema metadata the files carry goes: Ray Data
+        # cannot hash such a schema, so every stage that bundles cached
+        # blocks into one batch would skip schema de-duplication
+        schema = pq.read_schema(path).remove_metadata()
+        ds = rd.read_parquet(path, schema=schema).materialize()
         _DS_CACHE[key] = ds
     if columns is not None:
         return ds.select_columns(list(columns))

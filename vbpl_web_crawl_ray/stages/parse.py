@@ -244,16 +244,17 @@ def extract_attributes(body: str, config: dict) -> dict[str, str | None]:
 
 class ParseStage:
     """Stateful parse stage: compiled configs + inline-attachment client
-    built once (__init__), batch work in __call__. Link candidates (control
-    data) push to the hash(host)-routed frontier actors with delivery
-    confirmed before the batch returns; everything ELSE the parse produces
+    built once (__init__), batch work in __call__. Link candidates and the
+    batch's retried/failed/redirected counts (control data) push to the
+    hash(host)-routed frontier actors with delivery confirmed before the
+    batch returns; everything ELSE the parse produces
     — meta, sections, sub_parts, anle_sections, edges, fails — is DATA
     plane and is written by the task itself as per-batch parquet parts
     (content-addressed filenames: a retried task overwrites, never
     duplicates)."""
 
     def __init__(self, cfg: SimWebConfig, frontier_handles=None,
-                 counters=None, out_dir: str | None = None,
+                 out_dir: str | None = None,
                  round_no: int = 0, max_retries: int = 3,
                  enrich: bool = True, enrich_threshold: float = 0.8,
                  pdf_codec=None, store_html: bool = False):
@@ -263,7 +264,6 @@ class ParseStage:
         self.web = SimWeb(cfg)
         self.max_retries = max_retries
         self.frontier = list(frontier_handles or [])
-        self.counters = counters
         self.out_dir = out_dir
         self.round_no = round_no
         # M10/J5: when a doc page lacks its full text, recover it from the
@@ -637,21 +637,18 @@ class ParseStage:
                 self._parse_doc(rec, body, links, payload_rows, out)
         if self.out_dir is not None:
             self._write_side(batch["url"].to_pylist(), out)
-        # push control data; ray.get ensures delivery before the batch ends
-        pending = []
-        if self.frontier and links:
+        # push control data; ray.get ensures delivery before the batch
+        # ends. The lineage counters ride on partition 0's stage call.
+        counts = (retried, len(set(out["fails"])), redirected)
+        if self.frontier and (links or any(counts)):
             buckets: dict[int, list] = {}
             for rec in links:
                 buckets.setdefault(
                     partition_of(rec[0], len(self.frontier)), []).append(rec)
-            pending += [self.frontier[p].stage.remote(b)
-                        for p, b in buckets.items()]
-        if self.counters is not None and (retried or redirected
-                                          or out["fails"]):
-            pending.append(self.counters.add.remote(
-                retried, len(set(out["fails"])), redirected))
-        if pending:
-            ray.get(pending)
+            if any(counts):
+                buckets.setdefault(0, [])
+            ray.get([self.frontier[p].stage.remote(
+                b, *(counts if p == 0 else ())) for p, b in buckets.items()])
         if not payload_rows:
             return PAYLOAD_SCHEMA.empty_table()
         return pa.Table.from_pylist(payload_rows, schema=PAYLOAD_SCHEMA)

@@ -96,6 +96,9 @@ class _CuckooSeen:
 
 METRIC_KEYS = ("offered", "deduped", "robots_blocked", "queued", "popped",
                "robots_fetched")
+# per-round counters the parse tasks push with their staged links; the
+# round barrier drains them through :meth:`FrontierPartition.commit`
+LINEAGE_KEYS = ("retried", "failed", "redirected")
 
 
 class FrontierPartition:
@@ -124,6 +127,7 @@ class FrontierPartition:
         self.track_seen = track_seen
         self.seen_urls: list[str] = []
         self._staged: list[tuple[str, int, int]] = []
+        self.lineage = dict.fromkeys(LINEAGE_KEYS, 0)
 
     # ---- robots ----
 
@@ -148,19 +152,26 @@ class FrontierPartition:
 
     # ---- offer / pop ----
 
-    def stage(self, records: list[tuple[str, int, int]]) -> int:
+    def stage(self, records: list[tuple[str, int, int]], retried: int = 0,
+              failed: int = 0, redirected: int = 0) -> int:
         """Buffer link candidates pushed mid-round by parse tasks (arrival
         order is nondeterministic under parallelism). Nothing enters the
         queues until :meth:`commit` sorts the round's union — which makes
-        frontier state a pure function of the offered SET, not of timing."""
+        frontier state a pure function of the offered SET, not of timing.
+        The batch's lineage counters ride along (sums are order-free)."""
         self._staged.extend(records)
+        for k, v in zip(LINEAGE_KEYS, (retried, failed, redirected)):
+            self.lineage[k] += v
         return len(self._staged)
 
-    def commit(self) -> int:
+    def commit(self) -> dict[str, int]:
         """Round barrier: sort staged candidates by (depth, order, url) and
-        run the normal offer path. Deterministic at any parallelism."""
+        run the normal offer path. Deterministic at any parallelism.
+        Returns and resets the round's lineage counters."""
         staged, self._staged = self._staged, []
-        return self.offer(staged)
+        self.offer(staged)
+        lineage, self.lineage = self.lineage, dict.fromkeys(LINEAGE_KEYS, 0)
+        return lineage
 
     def offer(self, records: list[tuple[str, int, int]]) -> int:
         """records: (url, depth, discovery_order), pre-sorted by the driver
@@ -221,32 +232,26 @@ class FrontierPartition:
 
     # ---- data-plane pop handoff (pops never transit the driver) ----
 
-    def pop_round_chunks(self, round_no: int, max_per_host: int | None = None,
-                         log_dir: str | None = None,
-                         chunk_rows: int = 256) -> int:
-        """Drain this partition's round in deterministic order, store the
-        pops as Arrow-table chunks for :meth:`pops_chunk` (handed to
-        ``ray.data.from_arrow_refs`` — the rows go driver-free through the
-        object store), and append this partition's crawl-log parquet for
-        the round. Returns the number of chunks staged."""
+    def pop_round_log(self, round_no: int, max_per_host: int | None,
+                      log_dir: str,
+                      row_group_rows: int) -> tuple[str | None, int]:
+        """Drain this partition's round in deterministic order and write
+        it as this partition's crawl-log parquet for the round, in row
+        groups of ``row_group_rows``. The crawl tasks read their slices
+        of the round from this file (see :func:`read_log_rows`), so the
+        pops reach them without passing through the driver or this
+        actor's return values. Returns (path, rows); path is None when
+        the partition popped nothing."""
         pops = self.pop_round(max_per_host)
-        cols = list(zip(*pops)) if pops else [[]] * 5
+        if not pops:
+            return None, 0
         tbl = pa.table({f.name: pa.array(list(c), f.type)
-                        for f, c in zip(POP_SCHEMA, cols)})
-        if log_dir is not None and tbl.num_rows:
-            d = os.path.join(log_dir, f"round={round_no}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(tbl, os.path.join(
-                d, f"part-{self.partition_id:04d}.parquet"))
-        self._pop_chunks = [tbl.slice(i, chunk_rows)
-                            for i in range(0, tbl.num_rows, chunk_rows)]
-        return len(self._pop_chunks)
-
-    def pops_chunk(self, i: int) -> pa.Table:
-        return self._pop_chunks[i]
-
-    def clear_pop_chunks(self) -> None:
-        self._pop_chunks = []
+                        for f, c in zip(POP_SCHEMA, zip(*pops))})
+        d = os.path.join(log_dir, f"round={round_no}")
+        os.makedirs(d, exist_ok=True)
+        path = os.path.join(d, f"part-{self.partition_id:04d}.parquet")
+        pq.write_table(tbl, path, row_group_size=row_group_rows)
+        return path, tbl.num_rows
 
     def forget(self, urls: list[str]) -> int:
         """Unlearn URLs so a re-crawl can fetch them again (expired-document
@@ -288,6 +293,7 @@ class FrontierPartition:
             "track_seen": self.track_seen,
             "seen_urls": self.seen_urls,
             "staged": self._staged,   # empty at round barriers
+            "lineage": self.lineage,  # zero at round barriers
         })
 
     def restore(self, blob: bytes) -> None:
@@ -305,6 +311,22 @@ class FrontierPartition:
         self.track_seen = s["track_seen"]
         self.seen_urls = s["seen_urls"]
         self._staged = s.get("staged", [])
+        self.lineage = s.get("lineage", dict.fromkeys(LINEAGE_KEYS, 0))
+
+
+def read_log_rows(path: str, lo: int, hi: int) -> pa.Table:
+    """Rows [lo, hi) of a crawl-log part, reading only the row groups
+    that overlap them."""
+    pf = pq.ParquetFile(path)
+    meta = pf.metadata
+    groups, first, start = [], None, 0
+    for g in range(meta.num_row_groups):
+        n = meta.row_group(g).num_rows
+        if start < hi and start + n > lo:
+            groups.append(g)
+            first = start if first is None else first
+        start += n
+    return pf.read_row_groups(groups).slice(lo - first, hi - lo)
 
 
 def partition_of(url: str, num_partitions: int) -> int:
