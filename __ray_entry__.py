@@ -451,7 +451,7 @@ def _enriched_meta(sf_dir: str):
     """Crawl with missing-fulltext docs + external fuzzy recovery, then a
     sector containment-enrich over the meta table (reference
     enrich_vbpl_sector, vbpl.py:1178-1263) and a per-doc recovered-section
-    count via the native hash join. Rows-only (the crawl+fuzzy chain is
+    count via a bucketed left join. Rows-only (the crawl+fuzzy chain is
     not SQL-expressible)."""
     import glob
 
@@ -489,7 +489,8 @@ def _enriched_meta(sf_dir: str):
         out_col="sector").drop_columns(["sector0"])
 
     sec_files = sorted(glob.glob(f"{out}/sections/round=*/*.parquet"))
-    from vbpl_web_crawl_ray.stages.shuffle import bucketed_group_apply
+    from vbpl_web_crawl_ray.stages.shuffle import (bucketed_group_apply,
+                                                   bucketed_join)
     # per-batch partial count + bucketed sum
     counts = bucketed_group_apply(
         rd.read_parquet(sec_files, columns=["vbpl_id"]),
@@ -498,8 +499,8 @@ def _enriched_meta(sf_dir: str):
                              .agg(n_sections=("n_sections", "sum")),
         partial_fn=lambda df: df.groupby("vbpl_id", as_index=False)
                                 .agg(n_sections=("vbpl_id", "size")))
-    joined = enriched.join(counts, join_type="left_outer", num_partitions=4,
-                           on=("doc_id",), right_on=("vbpl_id",))
+    joined = bucketed_join(enriched, counts, on="doc_id", how="left",
+                           right_on="vbpl_id")
     pdf = joined.to_pandas()[["doc_id", "doc_type", "sector", "n_sections"]]
     pdf["n_sections"] = pdf["n_sections"].fillna(0).astype("int64")
     return pdf.sort_values("doc_id").reset_index(drop=True)

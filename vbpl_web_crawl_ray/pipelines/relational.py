@@ -23,8 +23,6 @@ from ..stages.shuffle import broadcast_get, bucketed_group_apply
 from ..stages.upsert import last_write_wins
 from ..sources.tablecache import base_dataset, base_pandas
 
-_NUM_BUCKETS = None  # resolved per-call from the cluster (shuffle.resolve_num_buckets)
-
 
 def _join_partitions() -> int:
     """Hash-join partition count sized to the session: measured locally,
@@ -125,7 +123,7 @@ def q_tumbling_window(sf_dir: str):
         return _round4(out, ["sum_value"])
 
     return bucketed_group_apply(ds, "user_id", final,
-                                num_buckets=_NUM_BUCKETS, partial_fn=partial)
+                                partial_fn=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +134,21 @@ def q_filter_sort_limit(sf_dir: str):
     """O1: filter -> global sort desc -> limit k (reference preview query,
     app/service/vbpl.py:1145-1147). The predicate pushes down to the
     parquet read (row-group pruning); tie-broken by key for determinism."""
+    import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    path = f"{sf_dir}/orders.parquet"
+    cols = ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
+    # The read schema drops the file's pandas metadata (Ray Data cannot
+    # hash such a schema, so the sort would skip schema de-duplication).
+    # Ray Data wants it to name exactly the columns read, and the scan
+    # wants the filter column in it, so that column is read and dropped.
+    read = cols + ["o_orderstatus"]
+    file_schema = pq.read_schema(path)
     ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
-        filter=pc.field("o_orderstatus") == "O")
+        path, columns=read,
+        schema=pa.schema([file_schema.field(c) for c in read]),
+        filter=pc.field("o_orderstatus") == "O").select_columns(cols)
     return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
 
 
@@ -149,7 +157,7 @@ def q_latest_event_per_user(sf_dir: str):
     reference's order_by(updated_at.desc()).first() latest-version pick
     (app/service/vbpl.py:1091)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
-    return last_write_wins(ds, ["user_id"], ["ts", "event_id"], _NUM_BUCKETS) \
+    return last_write_wins(ds, ["user_id"], ["ts", "event_id"]) \
         .map_batches(lambda df: df[["user_id", "ts", "event_type", "value"]],
                      batch_format="pandas")
 
@@ -158,8 +166,7 @@ def q_lww_upsert(sf_dir: str):
     """A7: last-write-wins per composite key (user_id, event_type) — the
     upsert-merge semantics of push_vbpl_to_db (app/service/vbpl.py:186-252)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
-    return last_write_wins(ds, ["user_id", "event_type"], ["ts", "event_id"],
-                           _NUM_BUCKETS) \
+    return last_write_wins(ds, ["user_id", "event_type"], ["ts", "event_id"]) \
         .map_batches(lambda df: df[["user_id", "event_type", "value"]]
                      .rename(columns={"value": "last_value"}),
                      batch_format="pandas")
@@ -176,7 +183,7 @@ def q_topk_per_group(sf_dir: str):
 
     # top2 is also a valid per-batch combiner (top-k is mergeable)
     return bucketed_group_apply(ds, "o_custkey", top2,
-                                num_buckets=_NUM_BUCKETS, partial_fn=top2)
+                                partial_fn=top2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,5 +335,4 @@ def q_sessionize(sf_dir: str):
         out["sum_value"] = round_half_away(out["sum_value"].to_numpy(), 4)
         return out
 
-    return bucketed_group_apply(ds, "user_id", sessions_bucket,
-                                num_buckets=_NUM_BUCKETS)
+    return bucketed_group_apply(ds, "user_id", sessions_bucket)

@@ -16,8 +16,6 @@ from ..stages.shuffle import (broadcast_get, bucketed_group_apply, group_cells,
                               reduce_partials)
 from ..sources.tablecache import base_dataset, base_pandas
 
-_NUM_BUCKETS = 8
-
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
     return base_dataset(sf_dir, table, columns=columns)
@@ -35,7 +33,6 @@ def q_union_distinct(sf_dir: str):
     return bucketed_group_apply(
         a.union(b), "c_custkey",
         lambda g: g.drop_duplicates(["c_custkey"]),
-        num_buckets=_NUM_BUCKETS,
         partial_fn=lambda df: df.drop_duplicates(["c_custkey"]))
 
 
@@ -193,7 +190,7 @@ def q_running_total(sf_dir: str):
             "running_value": round_half_away(run.to_numpy(), 4),
         })
 
-    return bucketed_group_apply(ds, "user_id", final, num_buckets=_NUM_BUCKETS)
+    return bucketed_group_apply(ds, "user_id", final)
 
 
 def q_sliding_window(sf_dir: str):
@@ -219,7 +216,7 @@ def q_sliding_window(sf_dir: str):
         return out
 
     return bucketed_group_apply(ds, "user_id", final,
-                                num_buckets=_NUM_BUCKETS, partial_fn=explode)
+                                partial_fn=explode)
 
 
 def q_asof_join(sf_dir: str):
@@ -261,8 +258,7 @@ def q_asof_join(sf_dir: str):
                              "user_id": out["user_id"].astype("int64"),
                              "last_orderdate": out["o_orderdate"]})
 
-    return bucketed_group_apply(both, "user_id", asof,
-                                num_buckets=_NUM_BUCKETS)
+    return bucketed_group_apply(both, "user_id", asof)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ the base tables actually requested, (b) keyed per sf_dir so scale
 factors never mix, and (c) disabled with ``GRAFT_TABLE_CACHE=0``
 (every read then passes straight through to ``read_parquet``).
 
+A cached table is cut into blocks by its size, capped by the cluster:
+n = clamp(ceil(bytes / target_min_block_size), 1, 2 x CPUs), with the
+bytes estimated from the parquet footer and the unit Ray Data's own
+``DataContext.target_min_block_size`` (1 MiB). Ray Data's read heuristic
+never picks fewer than 2 x CPUs blocks, so a 25-row ``nation`` cost eight
+map tasks on every pass over it; now every table at sf0.001 is one block,
+and sf0.1 lineitem (about 40 MiB) gets 40 blocks on 32 CPUs, where the
+heuristic gave it 64.
+
 Driver-side pandas lookups (dimension tables, key maps) cache per
 (sf_dir, table, columns) and return shallow copies — callers may add
 columns to the returned frame but must not mutate cached values in
@@ -29,6 +38,8 @@ import os
 import pandas as pd
 import pyarrow.parquet as pq
 import ray.data as rd
+
+from ..stages.shuffle import cluster_cpus, size_to_blocks
 
 _DS_CACHE: dict[tuple, rd.Dataset] = {}
 _PD_CACHE: dict[tuple, pd.DataFrame] = {}
@@ -46,6 +57,27 @@ def _stamp(path: str) -> tuple:
         return (st.st_mtime_ns, st.st_size)
     except OSError:
         return (0, 0)
+
+
+def _footer_bytes(path: str) -> int:
+    """In-memory size of the parquet file at ``path`` as its footer
+    tells it: per column chunk the larger of its uncompressed size and
+    rows x width for fixed-width types (dictionary and run-length
+    encoding shrink those on disk, not in Arrow)."""
+    f = pq.ParquetFile(path)
+    schema = f.schema_arrow
+    total = 0
+    for i in range(f.metadata.num_row_groups):
+        rg = f.metadata.row_group(i)
+        for j in range(rg.num_columns):
+            col = rg.column(j)
+            kind = schema.field(col.path_in_schema.split(".")[0]).type
+            try:
+                width = kind.bit_width // 8
+            except ValueError:  # variable width
+                width = 0
+            total += max(col.total_uncompressed_size, rg.num_rows * width)
+    return total
 
 
 def clear() -> None:
@@ -79,7 +111,10 @@ def base_dataset(sf_dir: str, table: str,
         # cannot hash such a schema, so every stage that bundles cached
         # blocks into one batch would skip schema de-duplication
         schema = pq.read_schema(path).remove_metadata()
-        ds = rd.read_parquet(path, schema=schema).materialize()
+        ds = rd.read_parquet(path, schema=schema,
+                             override_num_blocks=size_to_blocks(
+                                 _footer_bytes(path), 2 * cluster_cpus())
+                             ).materialize()
         _DS_CACHE[key] = ds
     if columns is not None:
         return ds.select_columns(list(columns))

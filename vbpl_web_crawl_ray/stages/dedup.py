@@ -198,7 +198,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
     """
     from .shuffle import bucketed_group_apply
 
-    ds = rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=[id_col, text_col])
+    ds = base_dataset(sf_dir, table, [id_col, text_col])
 
     def to_shingle_sets(df: pd.DataFrame) -> pd.DataFrame:
         sets = [sorted(set(_shingles(t.split(" "), n))) for t in df[text_col]]

@@ -18,8 +18,12 @@ exchange costs two rounds of task launches. It runs when called (an
 all-to-all is a barrier anyway) and its result is a materialized dataset;
 no row reaches the driver.
 
-At cluster scale B is sized to the cluster (≈ 2-4x total cores).
-``bucket_of`` is the single place partitioning is decided; hot-key
+B is capped by the cluster (≈ 2-4x total cores) and sized by bytes: an
+exchange with no requested B takes one bucket per
+``DataContext.target_min_block_size`` (1 MiB) of its input's block
+metadata, so a 300-row table is one bucket and one apply task, not eight
+(:func:`size_to_blocks`, the rule the table cache also sizes its blocks
+by). ``bucket_of`` is the single place partitioning is decided; hot-key
 salting lives in ``joins.salted_group_agg``, which salts the group key
 itself instead of the placement.
 """
@@ -78,33 +82,47 @@ def broadcast_get(ref):
     return value
 
 
+def cluster_cpus() -> int:
+    """CPUs of the Ray cluster (this machine's when Ray is not up)."""
+    if ray.is_initialized():
+        cpus = int(ray.cluster_resources().get("CPU", 0))
+        if cpus:
+            return cpus
+    return os.cpu_count() or 4
+
+
+def size_to_blocks(nbytes: int, cap: int) -> int:
+    """One partition per ``DataContext.target_min_block_size`` (Ray
+    Data's smallest worthwhile block, 1 MiB) of ``nbytes``, at least 1
+    and at most ``cap``: the one rule that sizes cached tables
+    (``sources/tablecache``) and exchanges with no requested B."""
+    unit = rd.DataContext.get_current().target_min_block_size
+    return max(1, min(cap, -(-nbytes // unit)))
+
+
 def resolve_num_buckets(requested: int | None = None) -> int:
-    """Bucket count B for the explicit shuffles in this module.
+    """Bucket count B for the explicit shuffles in this module: capped by
+    the cluster, sized by bytes.
 
     ``requested`` wins when given (tests, per-call overrides); then the
     ``GRAFT_NUM_BUCKETS`` env knob (the bucket-count-invariance sweep);
-    otherwise B = clamp(2 x cluster CPUs, 8, 256) read once from the Ray
-    runtime — ~2-4 buckets per core keeps every core busy in the
-    per-bucket apply while bounding the shuffle's partition count. All
-    consumers are bucket-count-invariant by construction (per-key logic
-    closes inside a bucket; buckets merge order-free), so B is purely a
-    parallelism/skew knob. A stored table is the exception: its manifest
-    pins B for its life (``stages/upsert``).
+    otherwise the cap, clamp(2 x cluster CPUs, 8, 256) — ~2-4 buckets per
+    core keeps every core busy in the per-bucket apply while bounding the
+    shuffle's partition count. An exchange with no requested B and no
+    knob cuts its input into :func:`size_to_blocks` of its block-metadata
+    bytes under that cap (:func:`_exchange`), so a small input is one
+    bucket, not eight. All consumers are bucket-count-invariant by
+    construction (per-key logic closes inside a bucket; buckets merge
+    order-free), so B is purely a parallelism/skew knob. A stored table
+    is the exception: its manifest pins B for its life (``stages/upsert``,
+    which takes the cap, never a data-sized B).
     """
     if requested is not None:
         return requested
     env = os.environ.get("GRAFT_NUM_BUCKETS")
     if env:
         return max(1, int(env))
-    try:
-        if ray.is_initialized():
-            cores = int(ray.cluster_resources().get("CPU", 0)) or \
-                (os.cpu_count() or 4)
-        else:
-            cores = os.cpu_count() or 4
-    except Exception:
-        cores = os.cpu_count() or 4
-    return max(8, min(256, 2 * cores))
+    return max(8, min(256, 2 * cluster_cpus()))
 
 
 def bucket_of(values, num_buckets: int) -> np.ndarray:
@@ -222,7 +240,7 @@ def attach_lookup(fact: rd.Dataset, fact_key: str, side: rd.Dataset,
             return pa.table(cols)
         right = got.map_batches(project, batch_format="pyarrow")
         return bucketed_join(fact, right, on=fact_key, how="left",
-                             num_buckets=resolve_num_buckets(num_buckets))
+                             num_buckets=num_buckets)
 
     refs = {c: ray.put(dict(zip(got[side_key], got[c])))
             for c in payload_cols}
@@ -257,27 +275,36 @@ def _apply(fn, sizes: list[int], *frames):
     return fn(*(list(frames[e - n:e]) for n, e in zip(sizes, ends)))
 
 
-def _exchange(sides: list[tuple], fn: Callable, num_buckets: int) -> list:
+def _exchange(sides: list[tuple], fn: Callable,
+              num_buckets: int | None) -> list:
     """Hash exchange over plain Ray tasks; returns the output block refs
     in bucket order.
 
-    ``sides`` holds ``(dataset, key, prep)`` triples. Every block of every
-    side gets one :func:`_cut` task that returns ``num_buckets`` frames
-    plus their row counts; the driver fetches only the counts. Every
-    bucket in which the first side has rows gets one :func:`_apply` task
-    that calls ``fn`` with one list per side of that bucket's non-empty
-    frames, in block order, so rows keep their arrival order within a
-    bucket.
+    ``sides`` holds ``(dataset, key, prep)`` triples. Every side executes
+    once, up front: its block bundles are collected before any cut, so
+    their metadata bytes can size B. B is ``num_buckets`` when given, else
+    :func:`resolve_num_buckets`'s cap cut down to :func:`size_to_blocks`
+    of all sides' bytes (``GRAFT_NUM_BUCKETS``, when set, wins exactly).
+    Every block of every side gets one :func:`_cut` task that returns B
+    frames plus their row counts; the driver fetches only the counts.
+    Every bucket in which the first side has rows gets one :func:`_apply`
+    task that calls ``fn`` with one list per side of that bucket's
+    non-empty frames, in block order, so rows keep their arrival order
+    within a bucket.
     """
-    splits = [[_cut.options(num_returns=num_buckets + 1).remote(
-                   ref, key, num_buckets, prep)
-               for bundle in ds.iter_internal_ref_bundles()
-               for ref in bundle.block_refs]
-              for ds, key, prep in sides]
+    bundles = [list(ds.iter_internal_ref_bundles()) for ds, _, _ in sides]
+    b_count = resolve_num_buckets(num_buckets)
+    if num_buckets is None and not os.environ.get("GRAFT_NUM_BUCKETS"):
+        b_count = size_to_blocks(
+            sum(b.size_bytes() for side in bundles for b in side), b_count)
+    splits = [[_cut.options(num_returns=b_count + 1).remote(
+                   ref, key, b_count, prep)
+               for bundle in side_bundles for ref in bundle.block_refs]
+              for side_bundles, (_, key, prep) in zip(bundles, sides)]
     counts = iter(ray.get([s[-1] for side in splits for s in side]))
     counts = [[next(counts) for _ in side] for side in splits]
     out = []
-    for b in range(num_buckets):
+    for b in range(b_count):
         frames = [[s[b] for s, c in zip(side, cs) if c[b]]
                   for side, cs in zip(splits, counts)]
         if frames[0]:
@@ -316,7 +343,6 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
     (rename first), and ``how`` is inner/left (right/full would need
     null-padded emit of unmatched right rows; nothing here needs them).
     """
-    num_buckets = resolve_num_buckets(num_buckets)
     rename = None
     if right_on and right_on != on:
         def rename(df: pd.DataFrame) -> pd.DataFrame:
@@ -400,8 +426,6 @@ def bucketed_group_apply(ds: rd.Dataset, key: str,
     called (an all-to-all is a barrier anyway); the returned dataset is
     materialized. No row reaches the driver.
     """
-    num_buckets = resolve_num_buckets(num_buckets)
-
     def apply(frames: list) -> pd.DataFrame:
         return bucket_fn(pd.concat(frames, ignore_index=True))
 
