@@ -203,8 +203,8 @@ def test_bucketed_sites_ship_bounded_rows(ray_session, sf_dir, monkeypatch,
     mod = importlib.import_module(f"vbpl_web_crawl_ray.pipelines.{module}")
     buckets, merges = [], []
 
-    def resolve(requested=None):
-        buckets.append(real_resolve(requested))
+    def resolve(requested=None, nbytes=None):
+        buckets.append(real_resolve(requested, nbytes))
         return buckets[-1]
 
     def counted(ds, keys, fn=None, agg=None):

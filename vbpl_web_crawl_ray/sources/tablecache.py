@@ -19,11 +19,11 @@ factors never mix, and (c) disabled with ``GRAFT_TABLE_CACHE=0``
 A cached table is cut into blocks by its size, capped by the cluster:
 n = clamp(ceil(bytes / target_min_block_size), 1, 2 x CPUs), with the
 bytes estimated from the parquet footer and the unit Ray Data's own
-``DataContext.target_min_block_size`` (1 MiB). Ray Data's read heuristic
-never picks fewer than 2 x CPUs blocks, so a 25-row ``nation`` cost eight
-map tasks on every pass over it; now every table at sf0.001 is one block,
-and sf0.1 lineitem (about 40 MiB) gets 40 blocks on 32 CPUs, where the
-heuristic gave it 64.
+``DataContext.target_min_block_size`` (1 MiB). The count is passed to
+the read because Ray Data's own heuristic never picks fewer than 2 x CPUs
+blocks, which would cost a 25-row ``nation`` eight map tasks on every
+pass over it. Every table at sf0.001 is one block; sf0.1 lineitem (about
+40 MiB) gets 40 blocks on 32 CPUs.
 
 Driver-side pandas lookups (dimension tables, key maps) cache per
 (sf_dir, table, columns) and return shallow copies — callers may add
@@ -59,12 +59,11 @@ def _stamp(path: str) -> tuple:
         return (0, 0)
 
 
-def _footer_bytes(path: str) -> int:
-    """In-memory size of the parquet file at ``path`` as its footer
-    tells it: per column chunk the larger of its uncompressed size and
-    rows x width for fixed-width types (dictionary and run-length
-    encoding shrink those on disk, not in Arrow)."""
-    f = pq.ParquetFile(path)
+def _footer_bytes(f: pq.ParquetFile) -> int:
+    """In-memory size of the parquet file ``f`` as its footer tells it:
+    per column chunk the larger of its uncompressed size and rows x width
+    for fixed-width types (dictionary and run-length encoding shrink
+    those on disk, not in Arrow)."""
     schema = f.schema_arrow
     total = 0
     for i in range(f.metadata.num_row_groups):
@@ -110,10 +109,12 @@ def base_dataset(sf_dir: str, table: str,
         # the pandas schema metadata the files carry goes: Ray Data
         # cannot hash such a schema, so every stage that bundles cached
         # blocks into one batch would skip schema de-duplication
-        schema = pq.read_schema(path).remove_metadata()
+        with pq.ParquetFile(path) as f:
+            schema = f.schema_arrow.remove_metadata()
+            nbytes = _footer_bytes(f)
         ds = rd.read_parquet(path, schema=schema,
                              override_num_blocks=size_to_blocks(
-                                 _footer_bytes(path), 2 * cluster_cpus())
+                                 nbytes, 2 * cluster_cpus())
                              ).materialize()
         _DS_CACHE[key] = ds
     if columns is not None:

@@ -100,7 +100,8 @@ def size_to_blocks(nbytes: int, cap: int) -> int:
     return max(1, min(cap, -(-nbytes // unit)))
 
 
-def resolve_num_buckets(requested: int | None = None) -> int:
+def resolve_num_buckets(requested: int | None = None,
+                        nbytes: int | None = None) -> int:
     """Bucket count B for the explicit shuffles in this module: capped by
     the cluster, sized by bytes.
 
@@ -108,10 +109,10 @@ def resolve_num_buckets(requested: int | None = None) -> int:
     ``GRAFT_NUM_BUCKETS`` env knob (the bucket-count-invariance sweep);
     otherwise the cap, clamp(2 x cluster CPUs, 8, 256) — ~2-4 buckets per
     core keeps every core busy in the per-bucket apply while bounding the
-    shuffle's partition count. An exchange with no requested B and no
-    knob cuts its input into :func:`size_to_blocks` of its block-metadata
-    bytes under that cap (:func:`_exchange`), so a small input is one
-    bucket, not eight. All consumers are bucket-count-invariant by
+    shuffle's partition count — cut down to :func:`size_to_blocks` of
+    ``nbytes`` when given (:func:`_exchange` passes its inputs'
+    block-metadata bytes), so a small input is one bucket, not eight. All
+    consumers are bucket-count-invariant by
     construction (per-key logic closes inside a bucket; buckets merge
     order-free), so B is purely a parallelism/skew knob. A stored table
     is the exception: its manifest pins B for its life (``stages/upsert``,
@@ -122,7 +123,8 @@ def resolve_num_buckets(requested: int | None = None) -> int:
     env = os.environ.get("GRAFT_NUM_BUCKETS")
     if env:
         return max(1, int(env))
-    return max(8, min(256, 2 * cluster_cpus()))
+    cap = max(8, min(256, 2 * cluster_cpus()))
+    return cap if nbytes is None else size_to_blocks(nbytes, cap)
 
 
 def bucket_of(values, num_buckets: int) -> np.ndarray:
@@ -282,9 +284,8 @@ def _exchange(sides: list[tuple], fn: Callable,
 
     ``sides`` holds ``(dataset, key, prep)`` triples. Every side executes
     once, up front: its block bundles are collected before any cut, so
-    their metadata bytes can size B. B is ``num_buckets`` when given, else
-    :func:`resolve_num_buckets`'s cap cut down to :func:`size_to_blocks`
-    of all sides' bytes (``GRAFT_NUM_BUCKETS``, when set, wins exactly).
+    their metadata bytes can size B: :func:`resolve_num_buckets` of
+    ``num_buckets`` and all sides' bytes.
     Every block of every side gets one :func:`_cut` task that returns B
     frames plus their row counts; the driver fetches only the counts.
     Every bucket in which the first side has rows gets one :func:`_apply`
@@ -293,10 +294,8 @@ def _exchange(sides: list[tuple], fn: Callable,
     within a bucket.
     """
     bundles = [list(ds.iter_internal_ref_bundles()) for ds, _, _ in sides]
-    b_count = resolve_num_buckets(num_buckets)
-    if num_buckets is None and not os.environ.get("GRAFT_NUM_BUCKETS"):
-        b_count = size_to_blocks(
-            sum(b.size_bytes() for side in bundles for b in side), b_count)
+    b_count = resolve_num_buckets(
+        num_buckets, sum(b.size_bytes() for side in bundles for b in side))
     splits = [[_cut.options(num_returns=b_count + 1).remote(
                    ref, key, b_count, prep)
                for bundle in side_bundles for ref in bundle.block_refs]
