@@ -21,3 +21,10 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"
+
+
+@pytest.fixture
+def no_all_to_all(monkeypatch):
+    """Make every Ray Data all-to-all raise on the driver."""
+    from util_compare import refuse_all_to_all
+    refuse_all_to_all(monkeypatch)

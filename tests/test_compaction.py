@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
-import ray.data as rd
 
 from vbpl_web_crawl_ray.pipelines.crawl import CrawlEngine
 from vbpl_web_crawl_ray.sources.simweb import SimWeb, SimWebConfig
 from vbpl_web_crawl_ray.stages import upsert
 from vbpl_web_crawl_ray.stages.upsert import compact_crawl_output, read_manifest
+from util_compare import refuse_all_to_all
 
 CFG = SimWebConfig(n_hosts=3, pages_per_host=1, docs_per_page=3,
                    flaky_rate=0.0, missing_rate=0.0)
@@ -127,11 +127,7 @@ def test_compaction_runs_no_all_to_all(refreshed, tmp_path, monkeypatch):
     dst = str(tmp_path / "c")
     _copy_rounds(out, dst, upto=marks[0])
 
-    def boom(self, *a, **k):
-        raise AssertionError("compaction ran a Ray Data all-to-all")
-
-    for name in ("groupby", "sort", "repartition"):
-        monkeypatch.setattr(rd.Dataset, name, boom)
+    refuse_all_to_all(monkeypatch, "by compaction")
     compact_crawl_output(dst)
     first = read_manifest(f"{dst}/payload_compacted")
     _copy_rounds(out, dst)

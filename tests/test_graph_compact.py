@@ -21,7 +21,7 @@ def test_connected_components_small():
     assert lab[5] == lab[6] == 5
 
 
-def test_connected_components_distributed_path():
+def test_connected_components_distributed_path(no_all_to_all):
     # chain of 30k edges through the label-propagation path (forced via
     # local_threshold=0 — the production crossover sits at 2M edges)
     n = 15_000

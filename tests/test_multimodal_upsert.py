@@ -1,10 +1,12 @@
 """Multimodal stages (decode/resize/features/phash near-dup) and the
 idempotent upsert sink."""
 
+import json
 import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -243,6 +245,31 @@ class TestUpsert:
         got = rd.read_parquet(out_dir).to_pandas().sort_values("k")
         assert list(got["v"]) == ["b"] + ["a"] * 9
         assert sum(d.startswith("bucket=") for d in os.listdir(out_dir)) <= 5
+
+    def test_upsert_parquet_refeeds_table_placed_by_another_hash(
+            self, tmp_path):
+        """An int-keyed table whose manifest names no placement (placed by
+        the one-multiply mixer bucket_of used before fmix64) is re-fed,
+        not merged bucket by bucket: every key ends in one row."""
+        out_dir = tmp_path / "tbl"
+        keys = np.arange(0, 480, 8, dtype=np.int64)
+        h = keys.astype(np.uint64)
+        old = ((h ^ (h >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+               % np.uint64(4)).astype(np.int64)
+        for b in np.unique(old):
+            d = out_dir / f"bucket={b}"
+            d.mkdir(parents=True)
+            rows = pd.DataFrame({"k": keys[old == b], "ts": np.int64(1),
+                                 "v": "old"})
+            pq.write_table(pa.Table.from_pandas(rows, preserve_index=False),
+                           d / "part-0.parquet")
+        (out_dir / "_manifest.json").write_text(json.dumps({"num_buckets": 4}))
+        new = pd.DataFrame({"k": keys[::2], "ts": np.int64(2), "v": "new"})
+        upsert_parquet(rd.from_pandas(new), str(out_dir), ["k"], "ts")
+        got = (rd.read_parquet(str(out_dir)).to_pandas()
+               .sort_values("k").reset_index(drop=True))
+        assert got["k"].tolist() == keys.tolist()
+        assert got["v"].tolist() == ["new", "old"] * (len(keys) // 2)
 
     def test_upsert_parquet_tie_goes_to_incoming_row(self, tmp_path):
         """Equal timestamps: the incoming row overwrites the stored one

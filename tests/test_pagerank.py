@@ -43,7 +43,7 @@ def test_pagerank_matches_dense_reference(sf_dir):
     assert abs(got["rank"].sum() - 1.0) < 1e-9
 
 
-def test_pagerank_bucketed_path_equals_broadcast(sf_dir):
+def test_pagerank_bucketed_path_equals_broadcast(sf_dir, no_all_to_all):
     a = pagerank(EDGES, iters=10)
     b = pagerank(EDGES, iters=10, force_partitioned=True)
     merged = a.merge(b, on="node", suffixes=("_a", "_b"))

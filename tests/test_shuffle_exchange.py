@@ -23,22 +23,6 @@ from vbpl_web_crawl_ray.stages.shuffle import (bucket_of, bucketed_group_apply,
                                                reduce_partials)
 from vbpl_web_crawl_ray.stages.upsert import last_write_wins
 
-#: Ray Data operators that run an all-to-all exchange.
-ALL_TO_ALL = ("groupby", "sort", "repartition", "random_shuffle", "join",
-              "aggregate", "unique")
-
-
-@pytest.fixture
-def no_all_to_all(monkeypatch):
-    """Make every Ray Data all-to-all raise on the driver."""
-    def refuse(name):
-        def f(self, *a, **k):
-            raise AssertionError(f"Dataset.{name} called")
-        return f
-    for name in ALL_TO_ALL:
-        monkeypatch.setattr(rd.Dataset, name, refuse(name))
-
-
 @pytest.fixture
 def exchanges(monkeypatch):
     """Count the calls of the task exchange."""
@@ -109,6 +93,17 @@ def test_bucketed_group_apply_without_all_to_all(no_all_to_all):
     got = out.to_pandas().sort_values("k").reset_index(drop=True)
     want = frame.groupby("k", as_index=False).sum()
     pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+@pytest.mark.parametrize("n, stride, num_buckets",
+                         [(97, 1, 3), (1000, 8, 8), (1000, 8, 12)])
+def test_bucket_of_spreads_strided_int_keys(n, stride, num_buckets):
+    """Every bucket gets at least half its fair share of strided int keys
+    (a one-multiply mixer put 96 of keys 0-96 in one bucket at B = 3 and
+    every multiple of 8 in bucket 0 at B = 8)."""
+    keys = np.arange(n, dtype=np.int64) * stride
+    counts = np.bincount(bucket_of(keys, num_buckets), minlength=num_buckets)
+    assert counts.min() >= n / num_buckets / 2, counts
 
 
 def test_bucket_fn_never_sees_an_empty_bucket():

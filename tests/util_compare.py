@@ -7,6 +7,11 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+#: Ray Data operators that run an all-to-all exchange. ``Dataset.sum``,
+#: ``max``, ``min``, ``mean`` and ``std`` run through ``aggregate``.
+ALL_TO_ALL = ("groupby", "sort", "repartition", "random_shuffle", "join",
+              "aggregate", "unique")
+
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
@@ -57,3 +62,16 @@ def assert_match(ray_result, sql: str, sf_dir: str, name: str = "",
         else:
             ok = got[c].astype(str).equals(want[c].astype(str))
         assert ok, f"{name}: column {c} mismatch\ngot:\n{got[c].head(20)}\nwant:\n{want[c].head(20)}"
+
+
+def refuse_all_to_all(monkeypatch, why: str = "") -> None:
+    """Make every Ray Data all-to-all (:data:`ALL_TO_ALL`) raise on the
+    driver; ``why`` names the caller in the error."""
+    import ray.data as rd
+
+    def refuse(name):
+        def f(self, *a, **k):
+            raise AssertionError(f"Dataset.{name} called {why}".rstrip())
+        return f
+    for name in ALL_TO_ALL:
+        monkeypatch.setattr(rd.Dataset, name, refuse(name))

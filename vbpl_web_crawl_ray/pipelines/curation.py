@@ -161,12 +161,12 @@ def q_pack_sequences(sf_dir: str) -> pd.DataFrame:
     prefix sum — the one genuinely order-coupled operator here — done as
     a two-pass range-partitioned scan:
 
-      pass 1: per-range-bucket token sums (groupby on doc_id//PACK_RANGE;
-              one tiny row per bucket to the driver),
-      pass 2: driver cumsums the bucket sums (O(n_docs/4096) work — a
-              tree scan generalizes beyond ~1e8 buckets), broadcasts the
-              per-bucket start offsets, and each bucket finishes its own
-              local cumsum in parallel.
+      pass 1: per-range token sums (reduce_partials on doc_id//PACK_RANGE;
+              one tiny row per range to the driver),
+      pass 2: driver cumsums the range sums (O(n_docs/4096) work — a
+              tree scan generalizes beyond ~1e8 ranges), broadcasts the
+              per-range start offsets, and each range-hash bucket finishes
+              its ranges' local cumsums in parallel.
 
     No full-data sort and no driver materialization of doc rows."""
     return pack_dataset(_docs(sf_dir, ("doc_id", "text")))
@@ -180,20 +180,17 @@ def pack_dataset(docs: rd.Dataset) -> pd.DataFrame:
             "doc_id": df["doc_id"].to_numpy(),
             "rb": (df["doc_id"].to_numpy() // PACK_RANGE).astype("int64"),
             "n_tokens": (df["text"].str.count(" ") + 1).astype("int64")}),
-        batch_format="pandas")
-    ds = ds.materialize()      # reused by both passes; per-doc ints only
+        batch_format="pandas").materialize()  # both passes; per-doc ints
 
-    sums = (ds.groupby("rb").sum("n_tokens").to_pandas()
-              .sort_values("rb").reset_index(drop=True))
-    starts = sums["sum(n_tokens)"].cumsum().shift(fill_value=0)
-    offsets = dict(zip(sums["rb"].astype(int), starts.astype(int)))
-    ref = ray.put(offsets)
+    sums = reduce_partials(ds, "rb", lambda df: df[["rb", "n_tokens"]])
+    starts = sums["n_tokens"].cumsum().shift(fill_value=0)
+    ref = ray.put(dict(zip(sums["rb"].astype(int), starts.astype(int))))
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        base = broadcast_get(ref)[int(g["rb"].iloc[0])]
         g = g.sort_values("doc_id")
         n = g["n_tokens"].to_numpy()
-        cum = base + np.concatenate(([0], np.cumsum(n[:-1])))
+        cum = (g["rb"].map(broadcast_get(ref)).to_numpy()
+               + g.groupby("rb")["n_tokens"].cumsum().to_numpy() - n)
         return pd.DataFrame({
             "doc_id": g["doc_id"].to_numpy(),
             "n_tokens": n,
@@ -201,8 +198,7 @@ def pack_dataset(docs: rd.Dataset) -> pd.DataFrame:
             "seq_end": (cum + n - 1) // PACK_BUDGET,
             "offset_in_seq": cum % PACK_BUDGET})
 
-    out = (ds.groupby("rb").map_groups(finish, batch_format="pandas")
-             .to_pandas())
+    out = bucketed_group_apply(ds, "rb", finish).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True) \
               .astype({c: "int64" for c in
                        ("n_tokens", "seq_start", "seq_end", "offset_in_seq")})
@@ -583,8 +579,10 @@ def q_dedup_prefix_curve(sf_dir: str) -> pd.DataFrame:
     the fraction closes as ONE stated double division per decile."""
 
     docs = _docs(sf_dir, ("doc_id", "text"))
-    # streaming max — one aggregate pass, no driver-side column read
-    denom = int(docs.max("doc_id")) + 1
+    # streaming max — one row per block reaches the driver
+    denom = int(reduce_partials(
+        docs, "k", lambda df: df[["doc_id"]].assign(k=np.int64(0)),
+        agg={"doc_id": "max"})["doc_id"].iloc[0]) + 1
 
     def rows_partial(df: pd.DataFrame) -> pd.DataFrame:
         dec = (df["doc_id"].to_numpy(np.int64) * 10) // denom

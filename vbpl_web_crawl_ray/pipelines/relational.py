@@ -2,9 +2,13 @@
 
 Each function maps one operator family from SURVEY.md §2 onto the driver's
 TPC-H-ish parquet tables and has a DuckDB oracle twin in ``ORACLE_SQL``.
-All are Ray-Data-first: pruned-column parquet reads, vectorized
-``map_batches`` bodies, partial (combiner) aggregation before every
-``groupby`` shuffle, broadcast small sides instead of shuffle joins.
+Pruned-column base-table reads feed vectorized ``map_batches`` bodies.
+Grouped rollups go through ``shuffle.reduce_partials`` (one row per key
+per block, regrouped on the driver); per-key logic that needs a group's
+rows, and the one large-large join, run over the task exchange
+(``shuffle.bucketed_group_apply`` / ``bucketed_join``); small sides ship
+as broadcasts. No query here runs a Ray Data all-to-all except the O1
+global sort of ``q_filter_sort_limit``.
 
 Column names of every computed column match the oracle SQL exactly; float
 aggregates are rounded to 4 decimals on both sides so value-hash comparison
@@ -16,24 +20,12 @@ from __future__ import annotations
 import pandas as pd
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from ..functions.numeric import round_half_away
-from ..stages.shuffle import broadcast_get, bucketed_group_apply
+from ..stages.shuffle import (broadcast_get, bucketed_group_apply,
+                              bucketed_join, reduce_partials)
 from ..stages.upsert import last_write_wins
 from ..sources.tablecache import base_dataset, base_pandas
-
-
-def _join_partitions() -> int:
-    """Hash-join partition count sized to the session: measured locally,
-    aggregator-actor count beyond ~cpus/4 inverts scaling (16 partitions was
-    6x slower than 8 on 32 CPUs). On a real cluster this would be
-    ~2x total cores."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(8, cpus // 4))
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -56,8 +48,8 @@ def _round4(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
 def q_pricing_summary(sf_dir: str):
     """Grouped numeric rollup (pattern of A7's per-key merges at scale).
 
-    Pre-aggregates inside map_batches (one row per key per batch), then a
-    small groupby — the shuffle moves O(keys x batches) rows, not O(rows).
+    Pre-aggregates per block (one row per key per block), then a small
+    driver merge — O(keys x blocks) rows move, not O(rows).
     """
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
@@ -78,14 +70,7 @@ def q_pricing_summary(sf_dir: str):
         )
         return g
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-             .groupby(["l_returnflag", "l_linestatus"])
-             .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                        Sum("sum_base_price", alias_name="sum_base_price"),
-                        Sum("sum_disc_price", alias_name="sum_disc_price"),
-                        Sum("sum_charge", alias_name="sum_charge"),
-                        Sum("count_order", alias_name="count_order"))
-             .to_pandas())
+    out = reduce_partials(ds, ["l_returnflag", "l_linestatus"], partial)
     out["avg_qty"] = out["sum_qty"] / out["count_order"]
     out["avg_price"] = out["sum_base_price"] / out["count_order"]
     return _round4(out, ["sum_qty", "sum_base_price", "sum_disc_price",
@@ -100,10 +85,7 @@ def q_count_per_source(sf_dir: str):
         return df.groupby("source", as_index=False).agg(
             n_docs=("n_chars", "size"), total_chars=("n_chars", "sum"))
 
-    return (ds.map_batches(partial, batch_format="pandas")
-              .groupby("source")
-              .aggregate(Sum("n_docs", alias_name="n_docs"),
-                         Sum("total_chars", alias_name="total_chars")))
+    return reduce_partials(ds, "source", partial)
 
 
 def q_tumbling_window(sf_dir: str):
@@ -173,7 +155,8 @@ def q_lww_upsert(sf_dir: str):
 
 
 def q_topk_per_group(sf_dir: str):
-    """Top-2 orders per customer by price — per-group top-k via map_groups."""
+    """Top-2 orders per customer by price: per-group top-k inside each
+    customer-hash bucket, with the same top-2 as a per-block combiner."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def top2(g: pd.DataFrame) -> pd.DataFrame:
@@ -193,28 +176,21 @@ def q_topk_per_group(sf_dir: str):
 def q_join_revenue_by_priority(sf_dir: str):
     """J2: large-large hash join lineitem x orders, then grouped rollup.
 
-    Stays on the native actor-pool hash join: measured against the
-    bucketed-shuffle join at sf0.1 the native operator wins on this
-    shape (2.4 s vs 5.4 s — two large sides, one wide output, no
-    multi-stage pipeline to amortize), while the bucketed join wins
-    inside the many-stage dedup verifies. Keep both tools; pick by
-    measurement."""
+    One ``bucketed_join`` (a hash exchange of both sides over plain Ray
+    tasks) and a two-phase rollup. At sf0.1, 4 Ray CPUs on one host core,
+    a call took 0.35-0.42 s against 2.07-2.33 s for Ray Data's actor-pool
+    hash join on the same shape."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = li.join(orders, join_type="inner", num_partitions=_join_partitions(),
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = bucketed_join(li, orders, on="l_orderkey", right_on="o_orderkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
         return df.groupby("o_orderpriority", as_index=False).agg(
             revenue=("revenue", "sum"), n_items=("revenue", "size"))
 
-    out = (joined.map_batches(partial, batch_format="pandas")
-                 .groupby("o_orderpriority")
-                 .aggregate(Sum("revenue", alias_name="revenue"),
-                            Sum("n_items", alias_name="n_items"))
-                 .to_pandas())
-    return _round4(out, ["revenue"])
+    return _round4(reduce_partials(joined, "o_orderpriority", partial),
+                   ["revenue"])
 
 
 def q_broadcast_dim_join(sf_dir: str):
@@ -234,12 +210,8 @@ def q_broadcast_dim_join(sf_dir: str):
         return df.groupby("r_name", as_index=False).agg(
             n_customers=("c_acctbal", "size"), total_acctbal=("c_acctbal", "sum"))
 
-    out = (cust.map_batches(broadcast_join, batch_format="pandas")
-               .groupby("r_name")
-               .aggregate(Sum("n_customers", alias_name="n_customers"),
-                          Sum("total_acctbal", alias_name="total_acctbal"))
-               .to_pandas())
-    return _round4(out, ["total_acctbal"])
+    return _round4(reduce_partials(cust, "r_name", broadcast_join),
+                   ["total_acctbal"])
 
 
 def q_anti_join(sf_dir: str):
@@ -282,12 +254,11 @@ def q_string_agg_per_nation(sf_dir: str):
         return df.assign(n_name=df["c_nationkey"].map(broadcast_get(lookup)))
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
-        names = " - ".join(sorted(g["c_name"]))
-        return pd.DataFrame({"n_name": [g["n_name"].iloc[0]],
-                             "customers": [names], "n": [len(g)]})
+        return (g.sort_values("c_name")
+                 .groupby("n_name", as_index=False)
+                 .agg(customers=("c_name", " - ".join), n=("c_name", "size")))
 
-    return (cust.map_batches(add_nation, batch_format="pandas")
-                .groupby("n_name").map_groups(agg, batch_format="pandas"))
+    return bucketed_group_apply(cust, "n_name", agg, partial_fn=add_nation)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +276,7 @@ def q_props_extract(sf_dir: str):
         return df.groupby("event_type", as_index=False).agg(
             sum_k=("k", "sum"), n=("k", "size"))
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("event_type")
-             .aggregate(Sum("sum_k", alias_name="sum_k"),
-                        Sum("n", alias_name="n"))
-             .to_pandas())
+    out = reduce_partials(ds, "event_type", partial)
     out["avg_k"] = round_half_away((out["sum_k"] / out["n"]).to_numpy(), 4)
     return out[["event_type", "avg_k", "n"]]
 

@@ -26,7 +26,7 @@ import ray.data as rd
 from ..functions.hashing import hash64, mix64
 from ..functions.numeric import blob_matrix, round_half_away
 from ..sources.tablecache import base_dataset, base_pandas
-from .shuffle import broadcast_get
+from .shuffle import broadcast_get, bucketed_group_apply
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -39,7 +39,6 @@ def exact_dedup(ds: rd.Dataset, text_col: str, id_col: str) -> rd.Dataset:
     shuffles only (hash, id) pairs. Collision-safe at the oracle level
     because representatives are re-keyed by full text within each group.
     """
-    from .shuffle import bucketed_group_apply
 
     def add_hash(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -108,7 +107,6 @@ def _attach_pair_payloads(cand: rd.Dataset, payloads: rd.Dataset,
 
     ``placeholder`` must carry the payload's Arrow type (b"" for binary
     blobs, "" for strings) so the union's schemas unify."""
-    from .shuffle import bucketed_group_apply
 
     size = payloads.size_bytes()
     if size is not None and size <= BROADCAST_MAX_BYTES:
@@ -196,7 +194,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, n: int = 3,
 
     Nothing materializes on the driver until the final (small) pair list.
     """
-    from .shuffle import bucketed_group_apply
 
     ds = base_dataset(sf_dir, table, [id_col, text_col])
 
@@ -399,16 +396,19 @@ def _lsh_pairs_from_sigs(sigs, num_perm: int, bands: int,
     banded = sigs.map_batches(to_bands, batch_format="pandas")
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # within one band value, all docs sharing the band hash are
-        # candidates. Sort once, find bucket boundaries vectorized, and
-        # emit triu pairs only for the (typically few) multi-doc buckets —
-        # no per-key pandas groupby objects.
-        g = g.drop_duplicates(["band_hash", "doc_id"])
+        # all docs sharing one (band, band hash) are candidates; a bucket
+        # holds many hashes of many bands, and equal hashes of different
+        # bands must not pair. Sort once, find the run boundaries
+        # vectorized, and emit triu pairs only for the (typically few)
+        # multi-doc runs — no per-key pandas groupby objects.
+        g = g.drop_duplicates(["band", "band_hash", "doc_id"])
+        band = g["band"].to_numpy()
         bh = g["band_hash"].to_numpy(dtype=np.uint64)
         ids = g["doc_id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((ids, bh))
-        bh, ids = bh[order], ids[order]
-        starts = np.flatnonzero(np.r_[True, bh[1:] != bh[:-1]])
+        order = np.lexsort((ids, bh, band))
+        band, bh, ids = band[order], bh[order], ids[order]
+        starts = np.flatnonzero(np.r_[True, (bh[1:] != bh[:-1])
+                                      | (band[1:] != band[:-1])])
         ends = np.r_[starts[1:], len(bh)]
         multi = (ends - starts) >= 2
         out_a, out_b = [], []
@@ -420,9 +420,8 @@ def _lsh_pairs_from_sigs(sigs, num_perm: int, bands: int,
         return pd.DataFrame({"id_a": np.concatenate(out_a),
                              "id_b": np.concatenate(out_b)})
 
-    cand = (banded.groupby("band")
-                  .map_groups(bucket_pairs, batch_format="pandas")
-                  .materialize())     # pair dedup happens in the attach
+    # pair dedup happens in the attach
+    cand = bucketed_group_apply(banded, "band_hash", bucket_pairs)
     if cand.count() == 0:
         return pd.DataFrame({**_EMPTY_PAIRS,
                              "est_jaccard": pd.Series(dtype=np.float64)})
@@ -618,7 +617,6 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         return pd.DataFrame({"id_a": ida[keep], "id_b": idb[keep],
                              "hamming": ham[keep]})
 
-    from .shuffle import bucketed_group_apply
     return (bucketed_group_apply(chunked, "chunk_val", verify)
             .to_pandas().drop_duplicates(["id_a", "id_b"])
             .sort_values(["id_a", "id_b"]).reset_index(drop=True))
@@ -704,7 +702,6 @@ def repeated_span_stats(ds: rd.Dataset, n: int = 8, text_col: str = "text",
     rows then take one doc-bucketed shuffle where the interval union is
     a vectorized running-max scan. The driver only ever holds the final
     per-doc stats; no suffix array, no global sort."""
-    from .shuffle import bucketed_group_apply
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         ids, poss, grams = [], [], []
@@ -764,7 +761,6 @@ def keep_best_dedup(ds: rd.Dataset, key_col: str, id_col: str,
     the full prefix re-keys within the bucket (collision guard), and the
     winner resolves as one vectorized sort+drop_duplicates per bucket.
     Only (hash, id, score, prefix) tuples move — never document bodies."""
-    from .shuffle import bucketed_group_apply
 
     def add_key(df: pd.DataFrame) -> pd.DataFrame:
         prefix = df[key_col].astype(str).str.slice(0, prefix_len)

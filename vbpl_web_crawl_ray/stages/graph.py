@@ -16,19 +16,23 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .shuffle import broadcast_get, bucketed_group_apply, reduce_partials
+from .shuffle import (broadcast_get, bucketed_group_apply, bucketed_join,
+                      reduce_partials)
 
 
 def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
                          id_b: str = "id_b", max_rounds: int = 50,
                          local_threshold: int = 2_000_000) -> pd.DataFrame:
     """(node, component) labeling; component id = min node id in the
-    component. Distributed min-label propagation over Ray Data; below
-    ``local_threshold`` edges a single-pass union-find wins — each
-    distributed round costs two shuffles + a join, so the crossover sits
-    in the millions of edges (a 2M-edge union-find is ~2 s; the
-    distributed path exists for edge sets that exceed one machine, where
-    the input arrives as a Dataset anyway)."""
+    component. Below ``local_threshold`` edges a single-pass union-find
+    runs on the driver; past it, distributed min-label propagation over
+    the task exchange. Each distributed round runs three exchanges (a
+    ``bucketed_join`` of labels to edges, a ``bucketed_group_apply``
+    per-node min, a ``bucketed_join`` for pointer jumping) and one
+    ``reduce_partials`` count of changed labels, so the crossover sits in
+    the millions of edges (a 2M-edge union-find is ~2 s; the distributed
+    path exists for edge sets that exceed one machine, where the input
+    arrives as a Dataset anyway)."""
     if len(pairs) == 0:
         return pd.DataFrame({"node": pd.Series(dtype=object),
                              "component": pd.Series(dtype=object)})
@@ -66,12 +70,13 @@ def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
         # propagate: labels hash-join to edges (no label map in any task
         # closure — the labels themselves are a keyed dataset and only the
         # matching rows move), then per-node min via the bucketed shuffle
-        prop = (edges_ds.join(labels_ds, join_type="inner", num_partitions=8,
-                              on=("u",), right_on=("node",))
-                        .map_batches(as_cand(0), batch_format="pandas"))
+        prop = (bucketed_join(edges_ds, labels_ds, on="u", right_on="node")
+                .map_batches(as_cand(0), batch_format="pandas"))
         selfs = labels_ds.map_batches(as_cand(1), batch_format="pandas")
         new_labels = bucketed_group_apply(prop.union(selfs), "node", take_min)
-        changed = new_labels.sum("changed")
+        changed = reduce_partials(
+            new_labels, "k",
+            lambda df: df[["changed"]].assign(k=np.int64(0)))["changed"].sum()
         labels_ds = new_labels.map_batches(
             lambda df: df[["node", "component"]], batch_format="pandas")
         if not changed:
@@ -84,9 +89,8 @@ def connected_components(pairs: pd.DataFrame, id_a: str = "id_a",
             lambda df: df.rename(columns={"node": "jnode",
                                           "component": "jcomp"}),
             batch_format="pandas")
-        labels_ds = (labels_ds.join(jump_to, join_type="inner",
-                                    num_partitions=8,
-                                    on=("component",), right_on=("jnode",))
+        labels_ds = (bucketed_join(labels_ds, jump_to, on="component",
+                                   right_on="jnode")
                      .map_batches(lambda df: pd.DataFrame(
                          {"node": df["node"].to_numpy(),
                           "component": df["jcomp"].to_numpy()}),
@@ -334,8 +338,9 @@ def _pagerank_actors(edges_ds: rd.Dataset, src: str, dst: str,
         ray.get(waits)     # staged before the task reports done
         return pd.DataFrame({"n": [len(df)]})
 
-    n_staged = edges_ds.map_batches(stage, batch_format="pandas",
-                                    batch_size=65536).sum("n")
+    n_staged = reduce_partials(
+        edges_ds.map_batches(stage, batch_format="pandas", batch_size=65536),
+        "k", lambda df: df.assign(k=np.int64(0)))["n"].sum()
     loaded = sum(ray.get([a.edge_total.remote() for a in actors]))
     if loaded != n_staged:
         # either a twin batch was wrongly digest-skipped or a load was

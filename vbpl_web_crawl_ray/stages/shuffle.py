@@ -16,7 +16,10 @@ sort-based groupby paid a sampling pass and a sort per call, a fixed cost
 of about half a second at small scale whatever the volume; the task
 exchange costs two rounds of task launches. It runs when called (an
 all-to-all is a barrier anyway) and its result is a materialized dataset;
-no row reaches the driver.
+no row reaches the driver. It is the package's one shuffle: grouped
+rollups (:func:`reduce_partials`), per-key logic and joins all run here,
+and the only Ray Data all-to-alls left are global sorts that are the
+operator itself (the stream drivers' wire order, the O1 sort query).
 
 B is capped by the cluster (≈ 2-4x total cores) and sized by bytes: an
 exchange with no requested B takes one bucket per
@@ -127,12 +130,24 @@ def resolve_num_buckets(requested: int | None = None,
     return cap if nbytes is None else size_to_blocks(nbytes, cap)
 
 
+#: Names the placement :func:`bucket_of` computes; a stored table's
+#: manifest records it (``stages/upsert``), and a table placed by any
+#: other hash is re-fed, never merged bucket by bucket.
+PLACEMENT = "fmix64"
+
+
 def bucket_of(values, num_buckets: int) -> np.ndarray:
-    """Deterministic bucket ids from any key column (int or str)."""
+    """Deterministic bucket ids from any key column (int or str).
+
+    Integers go through murmur3's full 64-bit finalizer (``fmix64``), so
+    every key bit reaches the low bits the modulo keeps: strided keys
+    (multiples of 8, a dense range at B = 3) fill every bucket."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         h = arr.astype(np.uint64, copy=False)
-        h = (h ^ (h >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+        for mult in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+            h = (h ^ (h >> np.uint64(33))) * np.uint64(mult)
+        h = h ^ (h >> np.uint64(33))
         return (h % np.uint64(num_buckets)).astype(np.int64)
     return (pd.util.hash_array(arr.astype(object), hash_key=_HKEY)
             % num_buckets).astype(np.int64)

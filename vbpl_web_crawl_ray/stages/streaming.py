@@ -8,8 +8,9 @@ events in timestamp order; the actor maintains per-key running state
 (count, sum, EMA) that any later batch continues from.
 
 Ordering assumption (documented per the guide): events within one key
-arrive in non-decreasing ts order — the feeder sorts each bucket's
-slice before delivery, and keys never straddle buckets.
+arrive in non-decreasing ts order — one feed loop (:func:`_feed`) sorts the
+log and routes each batch's rows by key hash, so keys never straddle
+buckets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,55 @@ import ray
 import ray.data as rd
 
 from .shuffle import bucket_of
+
+#: Arrival order of every driver here: event time, ties by event id. A
+#: feed in this order drops nothing, so each driver's output equals its
+#: batch oracle; late-drop semantics are pinned on the actors directly.
+ARRIVAL_ORDER = ["ts", "event_id"]
+#: Feed calls in flight before the driver waits for them (backpressure).
+_MAX_INFLIGHT = 64
+
+
+def _feed(ds: rd.Dataset, actors: list, route, feed_batch_rows: int,
+          summed: tuple = ()):
+    """Feed ``ds`` to ``actors`` (one per key-hash bucket) in
+    :data:`ARRIVAL_ORDER`, then flush them.
+
+    A distributed sort orders the log and ``iter_batches`` pulls one batch
+    at a time, so the driver never holds the full event log (it stays in
+    the object store). ``route(batch)`` returns the batch to send and the
+    keys whose ``bucket_of`` picks each row's actor. Per-actor order holds
+    because actor tasks from one submitter run in submission order.
+
+    Returns the actors' non-empty ``flush`` frames concatenated (None when
+    all are empty: an idle actor's all-object frame would fight the typed
+    ones inside concat) and the ``summed`` metrics added over the actors.
+    """
+    pending: list = []
+    for batch in ds.sort(ARRIVAL_ORDER).iter_batches(
+            batch_format="pandas", batch_size=feed_batch_rows):
+        batch, keys = route(batch)
+        b = bucket_of(keys, len(actors))
+        for bid in np.unique(b):
+            pending.append(actors[bid].feed.remote(batch[b == bid]))
+        if len(pending) >= _MAX_INFLIGHT:
+            ray.get(pending)
+            pending = []
+    ray.get(pending)
+    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
+    mets = ray.get([a.metrics.remote() for a in actors]) if summed else []
+    out = pd.concat(outs, ignore_index=True) if outs else None
+    return out, {m: sum(x[m] for x in mets) for m in summed}
+
+
+def _by_key(key_col: str, as_str: bool = False):
+    """A :func:`_feed` route: rename ``key_col`` to ``key`` and route by
+    it (by its string form when ``as_str``)."""
+    def route(batch: pd.DataFrame):
+        batch = batch.rename(columns={key_col: "key"})
+        keys = batch["key"].astype(str) if as_str else batch["key"]
+        return batch, keys.to_numpy()
+    return route
 
 
 @ray.remote(num_cpus=0)
@@ -45,42 +95,22 @@ class StreamBucket:
         rows = [(uid, c, s, e) for uid, (c, s, e) in self.state.items()]
         return pd.DataFrame(rows, columns=["user_id", "n", "total", "ema"])
 
+    flush = snapshot    # the end-of-stream call of :func:`_feed`
+
 
 def run_stream(ds: rd.Dataset, num_buckets: int = 4, alpha: float = 0.1,
-               feed_batch_rows: int = 2048,
-               max_inflight: int = 64) -> pd.DataFrame:
-    """Feed an events Dataset through bucket actors in ts order; returns
-    the final per-user state union. Deterministic: routing is hash(key),
-    order within bucket is (ts, event_id).
-
-    Streaming: a distributed sort orders the log, then ``iter_batches``
-    pulls one batch at a time — the driver never holds the full event log
-    (the log itself stays in the object store). Per-actor ordering holds
-    because actor tasks from a single submitter execute in submission
-    order, and batches are submitted in global (ts, event_id) order."""
-    actors = [StreamBucket.remote(alpha) for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.sort(["ts", "event_id"])
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        b = bucket_of(batch["user_id"].to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= max_inflight:   # bounded in-flight backpressure
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = ray.get([a.snapshot.remote() for a in actors])
-    # an idle bucket snapshots an empty all-object frame whose dtypes
-    # would fight the typed ones inside concat — exclude them
-    outs = [o for o in outs if len(o)]
-    if not outs:
+               feed_batch_rows: int = 2048) -> pd.DataFrame:
+    """Feed an events Dataset through bucket actors in (ts, event_id)
+    order (:func:`_feed`), routed by user_id; returns the final per-user
+    state union."""
+    out, _ = _feed(ds, [StreamBucket.remote(alpha) for _ in range(num_buckets)],
+                   lambda b: (b, b["user_id"].to_numpy()), feed_batch_rows)
+    if out is None:
         return pd.DataFrame({"user_id": pd.Series(dtype=np.int64),
                              "n": pd.Series(dtype=np.int64),
                              "total": pd.Series(dtype=np.float64),
                              "ema": pd.Series(dtype=np.float64)})
-    return (pd.concat(outs, ignore_index=True)
-            .sort_values("user_id").reset_index(drop=True))
+    return out.sort_values("user_id").reset_index(drop=True)
 
 
 @ray.remote(num_cpus=0)
@@ -159,39 +189,22 @@ def run_watermark_windows(ds: rd.Dataset, key_col: str,
                           window_size_s: float = 1800.0,
                           allowed_lateness_s: float = 0.0,
                           num_buckets: int = 4,
-                          feed_batch_rows: int = 2048,
-                          arrival_order=("ts", "event_id")):
-    """Feed an events Dataset through watermark-window actors in arrival
-    order (default: event time — a fully ordered stream drops nothing and
-    the result equals the batch GROUP BY). Keys hash to buckets; per-actor
-    arrival order holds because actor tasks from one submitter execute in
-    submission order. Returns (windows DataFrame, metrics dict)."""
-    actors = [WatermarkWindow.remote(window_size_s, allowed_lateness_s)
-              for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.sort(list(arrival_order))
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        batch = batch.rename(columns={key_col: "key"})
-        b = bucket_of(batch["key"].astype(str).to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= 64:
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
-    mets = ray.get([a.metrics.remote() for a in actors])
-    metrics = {"dropped_late": sum(m["dropped_late"] for m in mets)}
-    if not outs:
+                          feed_batch_rows: int = 2048):
+    """Feed an events Dataset through watermark-window actors in event-time
+    order (:func:`_feed`: nothing drops and the result equals the batch
+    GROUP BY), routed by the string form of ``key_col``. Returns (windows
+    DataFrame, metrics dict)."""
+    out, metrics = _feed(
+        ds, [WatermarkWindow.remote(window_size_s, allowed_lateness_s)
+             for _ in range(num_buckets)],
+        _by_key(key_col, as_str=True), feed_batch_rows, ("dropped_late",))
+    if out is None:
         return (pd.DataFrame({"key": pd.Series(dtype=object),
                               "win_start": pd.Series(dtype=np.int64),
                               "n": pd.Series(dtype=np.int64),
                               "sum_value": pd.Series(dtype=np.float64)}),
                 metrics)
-    out = (pd.concat(outs, ignore_index=True)
-             .sort_values(["key", "win_start"]).reset_index(drop=True))
-    return out, metrics
+    return out.sort_values(["key", "win_start"]).reset_index(drop=True), metrics
 
 
 @ray.remote(num_cpus=0)
@@ -280,37 +293,23 @@ def run_session_windows(ds: rd.Dataset, key_col: str,
                         gap_s: float = 1800.0,
                         allowed_lateness_s: float = 0.0,
                         num_buckets: int = 4,
-                        feed_batch_rows: int = 2048,
-                        arrival_order=("ts", "event_id")):
-    """Feed an events Dataset through session-window actors in arrival
-    order (event-time order by default: nothing drops and the finalized
-    output equals the batch gaps-and-islands GROUP BY — the oracle).
-    Returns (sessions DataFrame with timestamp bounds, metrics dict)."""
-    actors = [SessionWindow.remote(gap_s, allowed_lateness_s)
-              for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.sort(list(arrival_order))
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        batch = batch.rename(columns={key_col: "key"})
-        b = bucket_of(batch["key"].to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= 64:
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
-    mets = ray.get([a.metrics.remote() for a in actors])
-    metrics = {"dropped_late": sum(m["dropped_late"] for m in mets)}
-    if not outs:
+                        feed_batch_rows: int = 2048):
+    """Feed an events Dataset through session-window actors in event-time
+    order (:func:`_feed`: nothing drops and the finalized output equals
+    the batch gaps-and-islands GROUP BY — the oracle), routed by
+    ``key_col``. Returns (sessions DataFrame with timestamp bounds,
+    metrics dict)."""
+    out, metrics = _feed(
+        ds, [SessionWindow.remote(gap_s, allowed_lateness_s)
+             for _ in range(num_buckets)],
+        _by_key(key_col), feed_batch_rows, ("dropped_late",))
+    if out is None:
         empty = pd.DataFrame({"key": pd.Series(dtype=object),
                               "session_start": pd.Series(dtype="datetime64[us]"),
                               "session_end": pd.Series(dtype="datetime64[us]"),
                               "n": pd.Series(dtype=np.int64),
                               "sum_value": pd.Series(dtype=np.float64)})
         return empty, metrics
-    out = pd.concat(outs, ignore_index=True)
     out["session_start"] = pd.to_datetime(out.pop("start_us"), unit="us")
     out["session_end"] = pd.to_datetime(out.pop("end_us"), unit="us")
     out = out[["key", "session_start", "session_end", "n", "sum_value"]]
@@ -414,12 +413,11 @@ def run_interval_join(ds: rd.Dataset, key_col: str,
                       window_s: float = 1800.0,
                       allowed_lateness_s: float = 0.0,
                       num_buckets: int = 4,
-                      feed_batch_rows: int = 2048,
-                      arrival_order=("ts", "event_id")):
-    """Feed an events Dataset through interval-join actors in arrival
-    order (event-time order by default: nothing drops and the output
-    equals the batch trailing-window theta join — the oracle). Rows of
-    other event types are filtered out BEFORE the stream sort. Returns
+                      feed_batch_rows: int = 2048):
+    """Feed an events Dataset through interval-join actors in event-time
+    order (:func:`_feed`: nothing drops and the output equals the batch
+    trailing-window theta join — the oracle), routed by ``key_col``. Rows
+    of other event types are filtered out BEFORE the stream sort. Returns
     (per-probe counts DataFrame, metrics dict)."""
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
@@ -431,32 +429,18 @@ def run_interval_join(ds: rd.Dataset, key_col: str,
             "side": np.where(df["event_type"].to_numpy() == build_type,
                              "build", "probe")})
 
-    actors = [IntervalJoin.remote(window_s, allowed_lateness_s)
-              for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.map_batches(pre, batch_format="pandas")
-                    .sort(list(arrival_order))
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        b = bucket_of(batch["key"].to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= 64:
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
-    mets = ray.get([a.metrics.remote() for a in actors])
-    metrics = {"dropped_late": sum(m["dropped_late"] for m in mets),
-               "evicted_builds": sum(m["evicted_builds"] for m in mets),
-               "buffered_builds": sum(m["buffered_builds"] for m in mets)}
-    if not outs:
+    out, metrics = _feed(
+        ds.map_batches(pre, batch_format="pandas"),
+        [IntervalJoin.remote(window_s, allowed_lateness_s)
+         for _ in range(num_buckets)],
+        lambda b: (b, b["key"].to_numpy()), feed_batch_rows,
+        ("dropped_late", "evicted_builds", "buffered_builds"))
+    if out is None:
         return (pd.DataFrame({"event_id": pd.Series(dtype=np.int64),
                               "n_clicks": pd.Series(dtype=np.int64)}),
                 metrics)
-    out = (pd.concat(outs, ignore_index=True)
-             .astype({"event_id": "int64", "n_clicks": "int64"})
-             .sort_values("event_id").reset_index(drop=True))
+    out = (out.astype({"event_id": "int64", "n_clicks": "int64"})
+              .sort_values("event_id").reset_index(drop=True))
     return out, metrics
 
 
@@ -546,39 +530,22 @@ def run_hopping_windows(ds: rd.Dataset, key_col: str,
                         hop_s: float = 900.0,
                         allowed_lateness_s: float = 0.0,
                         num_buckets: int = 4,
-                        feed_batch_rows: int = 2048,
-                        arrival_order=("ts", "event_id")):
-    """Feed an events Dataset through hopping-window actors in arrival
-    order (event-time order by default: nothing drops and the finalized
-    output equals the batch window expansion — the oracle). Returns
-    (windows DataFrame, metrics dict)."""
-    actors = [HoppingWindow.remote(window_size_s, hop_s,
-                                   allowed_lateness_s)
-              for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.sort(list(arrival_order))
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        batch = batch.rename(columns={key_col: "key"})
-        b = bucket_of(batch["key"].astype(str).to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= 64:
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
-    mets = ray.get([a.metrics.remote() for a in actors])
-    metrics = {"dropped_late": sum(m["dropped_late"] for m in mets)}
-    if not outs:
+                        feed_batch_rows: int = 2048):
+    """Feed an events Dataset through hopping-window actors in event-time
+    order (:func:`_feed`: nothing drops and the finalized output equals
+    the batch window expansion — the oracle), routed by the string form
+    of ``key_col``. Returns (windows DataFrame, metrics dict)."""
+    out, metrics = _feed(
+        ds, [HoppingWindow.remote(window_size_s, hop_s, allowed_lateness_s)
+             for _ in range(num_buckets)],
+        _by_key(key_col, as_str=True), feed_batch_rows, ("dropped_late",))
+    if out is None:
         return (pd.DataFrame({"key": pd.Series(dtype=object),
                               "win_start": pd.Series(dtype=np.int64),
                               "n": pd.Series(dtype=np.int64),
                               "sum_value": pd.Series(dtype=np.float64)}),
                 metrics)
-    out = (pd.concat(outs, ignore_index=True)
-             .sort_values(["key", "win_start"]).reset_index(drop=True))
-    return out, metrics
+    return out.sort_values(["key", "win_start"]).reset_index(drop=True), metrics
 
 
 @ray.remote(num_cpus=0)
@@ -635,35 +602,21 @@ class DedupGate:
 
 def run_dedup_gate(ds: rd.Dataset, horizon_s: float = 3600.0,
                    num_buckets: int = 4,
-                   feed_batch_rows: int = 2048,
-                   arrival_order=("ts", "event_id")):
+                   feed_batch_rows: int = 2048):
     """Feed an events Dataset (which may contain re-deliveries) through
-    DedupGate actors in arrival order. Ids hash to buckets, so each
-    gate's view of one id is total. Returns (per-type delivered counts,
-    metrics with the global dups_dropped)."""
-    actors = [DedupGate.remote(horizon_s) for _ in range(num_buckets)]
-    pending: list = []
-    for batch in (ds.sort(list(arrival_order))
-                    .iter_batches(batch_format="pandas",
-                                  batch_size=feed_batch_rows)):
-        b = bucket_of(batch["event_id"].to_numpy(), num_buckets)
-        for bid in np.unique(b):
-            pending.append(actors[bid].feed.remote(batch[b == bid]))
-        if len(pending) >= 64:
-            ray.get(pending)
-            pending = []
-    ray.get(pending)
-    outs = [o for o in ray.get([a.flush.remote() for a in actors]) if len(o)]
-    mets = ray.get([a.metrics.remote() for a in actors])
-    metrics = {"dups_dropped": sum(m["dups_dropped"] for m in mets),
-               "ids_held": sum(m["ids_held"] for m in mets)}
-    if not outs:
+    DedupGate actors in (ts, event_id) order (:func:`_feed`). Ids hash to
+    buckets, so each gate's view of one id is total. Returns (per-type
+    delivered counts, metrics with the global dups_dropped)."""
+    out, metrics = _feed(
+        ds, [DedupGate.remote(horizon_s) for _ in range(num_buckets)],
+        lambda b: (b, b["event_id"].to_numpy()), feed_batch_rows,
+        ("dups_dropped", "ids_held"))
+    if out is None:
         return (pd.DataFrame({"event_type": pd.Series(dtype=object),
                               "n_events": pd.Series(dtype=np.int64),
                               "n_dups": pd.Series(dtype=np.int64)}),
                 metrics)
-    out = (pd.concat(outs, ignore_index=True)
-             .groupby("event_type", as_index=False)
-             .agg(n_events=("n_events", "sum"), n_dups=("n_dups", "sum"))
-             .sort_values("event_type").reset_index(drop=True))
+    out = (out.groupby("event_type", as_index=False)
+              .agg(n_events=("n_events", "sum"), n_dups=("n_dups", "sum"))
+              .sort_values("event_type").reset_index(drop=True))
     return out, metrics

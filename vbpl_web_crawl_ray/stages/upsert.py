@@ -17,13 +17,16 @@ driver:
    directory (temp file + ``os.replace``: a retried task overwrites its
    file, never duplicates it); the file of an untouched bucket is
    hard-linked there, never rewritten;
-3. the driver writes ``_manifest.json`` there (the bucket count B and, for
-   crawl compaction, the compacted-through round) and swaps the directory
+3. the driver writes ``_manifest.json`` there (the bucket count B, the
+   ``shuffle.PLACEMENT`` hash and, for crawl compaction, the
+   compacted-through round) and swaps the directory
    in ATOMICALLY (rename old away, new in): a failed run leaves the old
    table and manifest, never a half-written one, and no temp directory.
 
-The manifest pins B for the table's life, so a key always hashes to the
-same bucket. pyarrow and Ray Data skip ``_``-prefixed files.
+The manifest pins B and the hash for the table's life, so a key always
+hashes to the same bucket; a table whose manifest names no placement or
+another one is read like a table without a manifest (its rows are re-fed
+and re-placed). pyarrow and Ray Data skip ``_``-prefixed files.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from .shuffle import bucketed_group_apply, cut_buckets, resolve_num_buckets
+from .shuffle import (PLACEMENT, bucketed_group_apply, cut_buckets,
+                      resolve_num_buckets)
 
 _MANIFEST = "_manifest.json"
 
@@ -119,10 +123,13 @@ def _merge_into(sources: list[tuple], out_dir: str, key_cols: list[str],
     pairs, oldest first — into the table at ``out_dir``; ``state`` joins
     the manifest."""
     manifest = read_manifest(out_dir)
+    if manifest.get("placement") != PLACEMENT:
+        manifest = {}
     b_count = manifest.get("num_buckets")
     if b_count is None:
         b_count = resolve_num_buckets(num_buckets)
-        # a table written without a manifest: its rows become inputs
+        # a table written without a manifest, or placed by another hash:
+        # its rows become inputs
         sources = [(f, None) for f in sorted(glob.glob(
             f"{out_dir}/bucket=*/*.parquet"))] + list(sources)
     elif num_buckets not in (None, b_count):
@@ -151,7 +158,8 @@ def _merge_into(sources: list[tuple], out_dir: str, key_cols: list[str],
         ray.wait(merges, num_returns=len(merges))
         ray.get(merges)
         with open(os.path.join(tmp, _MANIFEST), "w") as f:
-            json.dump({**manifest, "num_buckets": b_count, **state}, f)
+            json.dump({**manifest, "num_buckets": b_count,
+                       "placement": PLACEMENT, **state}, f)
         # atomic swap: rename old away, new in (a crash leaves old or new)
         old_dir = f"{out_dir}.old-{uuid.uuid4().hex[:8]}"
         if os.path.isdir(out_dir):
