@@ -61,8 +61,7 @@ def entry() -> Any:
     cfg = config_from_documents("/root/testdata/sf0.001",
                                 n_hosts=4, pages_per_host=3, docs_per_page=5)
     out = tempfile.mkdtemp(prefix="vbpl_crawl_entry_")
-    eng = CrawlEngine(cfg, out, num_partitions=2,
-                      fetch_concurrency=(1, 2), parse_concurrency=(1, 2))
+    eng = CrawlEngine(cfg, out, num_partitions=2)
     eng.seed(SimWeb(cfg).seed_urls())
     eng.run(max_rounds=16)
     return rd.read_parquet(f"{out}/payload")
@@ -79,7 +78,7 @@ def _docs_chars(sf_dir: str):
 _CRAWL_CACHE: dict = {}
 
 
-def _run_crawl_cached(sf_dir: str, cfg_kw: dict, **eng_kw) -> str:
+def _run_crawl_cached(sf_dir: str, cfg_kw: dict) -> str:
     """Run one deterministic sim-web crawl per distinct (sf_dir, config)
     within this process and return its output dir. Several queries consume
     different tables of the SAME crawl output — the crawl is a pure
@@ -89,18 +88,14 @@ def _run_crawl_cached(sf_dir: str, cfg_kw: dict, **eng_kw) -> str:
     from vbpl_web_crawl_ray.pipelines.crawl import CrawlEngine
     from vbpl_web_crawl_ray.sources.simweb import SimWeb, config_from_documents
 
-    # key excludes engine/concurrency knobs: output is a pure function of
-    # (sf_dir, sim config) at ANY parallelism (test_parallelism_invariance)
+    # output is a pure function of (sf_dir, sim config) at ANY parallelism
+    # (test_parallelism_invariance)
     key = (sf_dir, tuple(sorted(cfg_kw.items())))
     if key in _CRAWL_CACHE:
         return _CRAWL_CACHE[key]
     cfg = config_from_documents(sf_dir, max_captions=256, **cfg_kw)
     out = tempfile.mkdtemp(prefix="vbpl_crawl_q_")
-    # fused task mode: per-actor state is trivial in the hermetic sim, so
-    # tasks on warm workers beat per-round actor-pool startup (output is
-    # identical either way)
-    eng_kw.setdefault("use_actors", False)
-    eng = CrawlEngine(cfg, out, num_partitions=2, **eng_kw)
+    eng = CrawlEngine(cfg, out, num_partitions=2)
     eng.seed(SimWeb(cfg).seed_urls())
     eng.run(max_rounds=16)
     _CRAWL_CACHE[key] = out
@@ -114,9 +109,7 @@ def _crawl_payload(sf_dir: str):
     import ray.data as rd
 
     out = _run_crawl_cached(sf_dir, dict(n_hosts=2, pages_per_host=2,
-                                         docs_per_page=4),
-                            fetch_concurrency=(1, 2),
-                            parse_concurrency=(1, 2))
+                                         docs_per_page=4))
     return rd.read_parquet(f"{out}/payload").drop_columns(["round"])
 
 
@@ -585,9 +578,7 @@ def _doc_pagerank(sf_dir: str):
     from vbpl_web_crawl_ray.stages.graph import pagerank
 
     out = _run_crawl_cached(sf_dir, dict(n_hosts=2, pages_per_host=2,
-                                         docs_per_page=4),
-                            fetch_concurrency=(1, 2),
-                            parse_concurrency=(1, 2))
+                                         docs_per_page=4))
     files = sorted(glob.glob(f"{out}/edges/round=*/*.parquet")) \
         + sorted(glob.glob(f"{out}/doc_map/round=*/*.parquet"))
     frames = []
@@ -610,9 +601,7 @@ def _doc_triangles(sf_dir: str):
     from vbpl_web_crawl_ray.stages.graph import triangle_count
 
     out = _run_crawl_cached(sf_dir, dict(n_hosts=2, pages_per_host=2,
-                                         docs_per_page=4),
-                            fetch_concurrency=(1, 2),
-                            parse_concurrency=(1, 2))
+                                         docs_per_page=4))
     files = sorted(glob.glob(f"{out}/edges/round=*/*.parquet")) \
         + sorted(glob.glob(f"{out}/doc_map/round=*/*.parquet"))
     frames = [pq.read_table(f, columns=["src", "dst"]).to_pandas()
@@ -672,9 +661,7 @@ def _doc_bfs_depths(sf_dir: str):
     from vbpl_web_crawl_ray.stages.graph import bfs_depths
 
     out = _run_crawl_cached(sf_dir, dict(n_hosts=2, pages_per_host=2,
-                                         docs_per_page=4),
-                            fetch_concurrency=(1, 2),
-                            parse_concurrency=(1, 2))
+                                         docs_per_page=4))
     files = sorted(glob.glob(f"{out}/edges/round=*/*.parquet")) \
         + sorted(glob.glob(f"{out}/doc_map/round=*/*.parquet"))
     frames = [pq.read_table(f, columns=["src", "dst"]).to_pandas()
@@ -695,9 +682,7 @@ def _doc_kcore(sf_dir: str):
     from vbpl_web_crawl_ray.stages.graph import k_core
 
     out = _run_crawl_cached(sf_dir, dict(n_hosts=2, pages_per_host=2,
-                                         docs_per_page=4),
-                            fetch_concurrency=(1, 2),
-                            parse_concurrency=(1, 2))
+                                         docs_per_page=4))
     files = sorted(glob.glob(f"{out}/edges/round=*/*.parquet")) \
         + sorted(glob.glob(f"{out}/doc_map/round=*/*.parquet"))
     frames = [pq.read_table(f, columns=["src", "dst"]).to_pandas()

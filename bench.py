@@ -65,16 +65,9 @@ def _run_crawl_once(num_cpus: int) -> dict:
     # tmpfs output: measure compute + shuffle (per the scaling guidance),
     # not ext4 writeback of the PREVIOUS run's dirty pages; cleaned below
     out = tempfile.mkdtemp(prefix="vbpl_bench_crawl_", dir="/dev/shm")
-    # env overrides exist for knob sweeps (contention profiling); the
-    # defaults are the shipped configuration
-    fetch_c = int(os.environ.get("GRAFT_FETCH_C", 0)) or max(2, num_cpus // 4)
-    parse_c = int(os.environ.get("GRAFT_PARSE_C", 0)) \
-        or max(2, (3 * num_cpus) // 4)
+    # env override for batch-size sweeps; the default is the shipped one
     batch = int(os.environ.get("GRAFT_BATCH", 0)) or 64
-    eng = CrawlEngine(cfg, out, num_partitions=8,
-                      fetch_concurrency=(1, fetch_c),
-                      parse_concurrency=(1, parse_c),
-                      batch_size=batch, use_actors=False)
+    eng = CrawlEngine(cfg, out, num_partitions=8, batch_size=batch)
     eng.seed(SimWeb(cfg).seed_urls())
     # warm the worker pool untimed (measure steady-state compute+shuffle,
     # not one-time process spawn — per the scaling-measurement guidance)

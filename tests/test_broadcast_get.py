@@ -31,7 +31,6 @@ SF = "/root/testdata/sf0.001"
 #: Callable classes whose per-actor state is the point: loaded models,
 #: decoders, feature extractors and the crawl's fetch/parse stages.
 STATEFUL_STAGES = {
-    "pipelines/crawl.py:_StatelessStage",
     "pipelines/payloads.py:GateAndStrip",
     "stages/dedup.py:MinHasher",
     "stages/dedup.py:MD5MinHasher",

@@ -8,7 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from oracle_crawler import oracle_crawl
-from vbpl_web_crawl_ray.pipelines.crawl import CrawlEngine
+from vbpl_web_crawl_ray.pipelines.crawl import CrawlEngine, round_tasks
 from vbpl_web_crawl_ray.sources.imaging import decode_image, gen_pixels, psnr
 from vbpl_web_crawl_ray.sources.simweb import SimWeb, SimWebConfig
 
@@ -85,8 +85,19 @@ def test_politeness_spacing(engine_run):
 
 
 def test_round_stats_available(engine_run):
-    eng, _ = engine_run
-    assert "Operator" in eng.last_stats or "Stage" in eng.last_stats
+    """The last round's record: its tasks ran every popped row, and a
+    round of at most one batch ran as one task."""
+    eng, out = engine_run
+    st = eng.last_stats
+    assert st["round"] == eng.round - 1
+    files = sorted(glob.glob(f"{out}/crawl_log/round={st['round']}/*"))
+    parts = [(f, pq.read_metadata(f).num_rows) for f in files]
+    n = sum(k for _, k in parts)
+    assert st["popped"] == st["rows"] == n > 0
+    assert st["tasks"] == len(round_tasks(parts, eng.batch_size, eng.cpus))
+    if n <= eng.batch_size:
+        assert st["tasks"] == 1
+    assert min(st["pop_s"], st["tasks_s"], st["commit_s"]) >= 0
 
 
 def test_robots_blocking(engine_run, oracle):
@@ -154,9 +165,9 @@ def test_doc_map_matches_oracle(engine_run, oracle):
 
 def test_parallelism_invariance(tmp_path, oracle):
     """The determinism claim behind the N vs 4N scaling criterion: a
-    different partition/concurrency layout produces the identical crawl."""
+    different partition count and batch size produce the identical crawl."""
     eng = CrawlEngine(CFG, str(tmp_path / "o1"), num_partitions=1,
-                      fetch_concurrency=1, parse_concurrency=1)
+                      batch_size=5)
     eng.seed(SimWeb(CFG).seed_urls())
     eng.run(max_rounds=32)
     got = [(t, h, d, o, u) for (_, t, h, d, o, u) in eng.crawl_log]

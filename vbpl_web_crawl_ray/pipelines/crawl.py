@@ -2,18 +2,19 @@
 frontier exhaustion (the engine form of the reference's phase loop,
 app/service/vbpl.py:95-114, re-expressed per SURVEY.md §3.1).
 
-Each round is ONE streaming Ray Data pass over the popped URL set:
+Each round is T plain Ray tasks of one function, ``crawl_slice``:
 
     frontier partitions pop -> crawl_log/round={r}/part-{P}.parquet
-    from_items(T slice descriptors)                  # T sized to the cluster
-        -> map_batches(read slice of the crawl log)
-        -> map_batches(FetchStage) -> map_batches(ParseStage)
-        -> write_parquet out_dir/payload/round={r}
-    meta/sections/sub_parts/anle_sections/edges/fails
-        -> written per batch BY the parse tasks (content-addressed parts)
+    crawl_slice x T                                  # T sized to the cluster
+        read its slice of the crawl log -> FetchStage -> ParseStage
+        -> payload/meta/sections/sub_parts/anle_sections/edges/fails,
+           each written as <table>/round={r}/part-<sha1 of its URLs>.parquet
     links + retried/failed/redirected counts
         -> frontier.stage() (hash(host)-routed), committed at the round
            barrier as a sorted union; commit() hands back the counts
+
+The tasks hand back only their row counts, so a round needs no Ray Data
+execution and pays none of its fixed planning and launch cost.
 
 The round is cut by row count, not by partition: a round that fits one
 batch is one task; a larger one is T tasks of even size, T the next
@@ -23,10 +24,11 @@ task reads its rows straight from the crawl-log parts the partitions
 wrote, so no Arrow table is returned by a frontier actor.
 
 The driver touches only control data: per-partition pop counts, the
-slice descriptors, the round's lineage counts and the round barrier
-itself. Parsed text, edges and the crawl log — the data-plane outputs
-that grow with the corpus — never transit the driver or any single
-actor, and the engine starts no actor besides its frontier partitions.
+slice descriptors, the tasks' row counts, the round's lineage counts and
+the round barrier itself. Parsed text, edges and the crawl log — the
+data-plane outputs that grow with the corpus — never transit the driver
+or any single actor, and the engine starts no actor besides its frontier
+partitions.
 
 Rounds are the determinism barrier (the reference's three phase barriers):
 crawl order is a pure function of the link graph at every parallelism
@@ -43,6 +45,7 @@ import glob
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -52,11 +55,10 @@ import ray.data as rd
 
 from ..sources.simweb import SimWeb, SimWebConfig
 from ..stages.fetch import FetchStage
-from ..stages.parse import PAYLOAD_SCHEMA, SIDE_TABLES, ParseStage
+from ..stages.parse import SIDE_TABLES, ParseStage, write_part
 from ..state.frontier import (LINEAGE_KEYS, FrontierPartition, partition_of,
                               read_log_rows)
 
-PAYLOAD_COLS = [f.name for f in PAYLOAD_SCHEMA]
 LOG_SCHEMA = pa.schema([
     ("pop_seq", pa.int64()), ("fetch_time", pa.float64()),
     ("host", pa.string()), ("depth", pa.int32()),
@@ -76,20 +78,6 @@ class FrontierActor(FrontierPartition):
         web = SimWeb(cfg)
         super().__init__(partition_id, num_partitions,
                          robots_fetch=web.get, **kw)
-
-
-class _StatelessStage:
-    """Task-mode wrapper: constructs the stage lazily once per worker
-    process (cached on self after Ray's function-export ships it once)."""
-
-    def __init__(self, stage_cls, cfg, **kw):
-        self.stage_cls, self.cfg, self.kw = stage_cls, cfg, kw
-        self._stage = None
-
-    def __call__(self, batch):
-        if self._stage is None:
-            self._stage = self.stage_cls(self.cfg, **self.kw)
-        return self._stage(batch)
 
 
 def round_tasks(parts: list[tuple[str, int]], batch_size: int,
@@ -119,34 +107,41 @@ def round_tasks(parts: list[tuple[str, int]], batch_size: int,
     return tasks
 
 
-def _read_round_slice(batch: pa.Table) -> pa.Table:
-    """Expand slice descriptors into the popped rows they name."""
+def _read_round_slice(pieces: list[tuple[str, int, int]]) -> pa.Table:
+    """The popped rows a slice's ``(path, lo, hi)`` ranges name."""
     return pa.concat_tables([read_log_rows(path, lo, hi)
-                             for pieces in batch["pieces"].to_pylist()
-                             for path, lo, hi in json.loads(pieces)])
+                             for path, lo, hi in pieces])
+
+
+@ray.remote
+def crawl_slice(pieces: list[tuple[str, int, int]], cfg: SimWebConfig,
+                real_time_t0: float | None, parse_kw: dict) -> int:
+    """One round task: read the slice, fetch and parse it, write its payload
+    part beside the side tables the parse wrote. Returns the rows read."""
+    batch = _read_round_slice(pieces)
+    fetched = FetchStage(cfg, real_time_t0=real_time_t0)(batch)
+    payload = ParseStage(cfg, **parse_kw)(fetched)
+    write_part(parse_kw["out_dir"], "payload", parse_kw["round_no"],
+               batch["url"].to_pylist(), payload)
+    return batch.num_rows
 
 
 class CrawlEngine:
     def __init__(self, cfg: SimWebConfig, out_dir: str, num_partitions: int = 4,
-                 fetch_concurrency: int | tuple = 2,
-                 parse_concurrency: int | tuple = 2,
                  batch_size: int = 64, max_per_host_per_round: int | None = None,
                  default_delay: float = 1.0, bloom_capacity: int = 1_000_000,
-                 track_seen: bool = False, use_actors: bool = True,
+                 track_seen: bool = False, use_actors: bool = False,
                  allow_deletions: bool = False, real_time: bool = False,
                  enrich: bool = True, store_html: bool = False):
+        # rounds always run as plain tasks; use_actors=False stays
+        # accepted for callers that pass it
+        if use_actors:
+            raise ValueError("use_actors=True is not supported: crawl "
+                             "rounds run as plain Ray tasks")
         self.cfg = cfg
         self.out_dir = out_dir
         self.num_partitions = num_partitions
-        self.fetch_concurrency = fetch_concurrency
-        self.parse_concurrency = parse_concurrency
         self.batch_size = batch_size
-        # use_actors=True: fetch/parse as actor pools (real crawlers hold
-        # connection pools / models per worker). use_actors=False: stateless
-        # task stages — when per-actor state is trivial (the hermetic sim),
-        # tasks reuse warm workers and Ray Data fuses the fetch->parse chain
-        # into one pass, removing per-round pool-startup latency.
-        self.use_actors = use_actors
         self.max_per_host = max_per_host_per_round
         self.real_time = real_time
         self.crawl_t0: float | None = None
@@ -166,6 +161,9 @@ class CrawlEngine:
         self.counters = self.actors[0]
         self.cpus = int(ray.cluster_resources().get("CPU", 1))
         self.round = 0
+        # the last round's record: round, popped, tasks, rows (summed from
+        # the task results) and the seconds spent in pop, tasks and commit
+        self.last_stats: dict | None = None
         # north_rule lineage: fetched / retried / failed counters (the
         # frontier actors carry offered/deduped/robots_blocked/queued)
         self.lineage = {"fetched": 0, "retried": 0, "failed": 0,
@@ -198,8 +196,16 @@ class CrawlEngine:
 
     # ---- one crawl round ----
 
+    def _slice_args(self, r: int) -> tuple:
+        """The arguments after ``pieces`` of round ``r``'s ``crawl_slice``."""
+        parse_kw = {"frontier_handles": self.actors,
+                    "out_dir": self.out_dir, "round_no": r,
+                    "enrich": self.enrich, "store_html": self.store_html}
+        return self.cfg, self.crawl_t0, parse_kw
+
     def run_round(self) -> bool:
         r = self.round
+        t0 = time.perf_counter()
         # a crashed attempt of THIS round may have left partial files —
         # delete the round's output dirs before (re-)running (idempotent
         # resume; see upsert_parquet for the same temp+rename discipline)
@@ -216,51 +222,24 @@ class CrawlEngine:
         if not parts:
             return False
         tasks = round_tasks(parts, self.batch_size, self.cpus)
-
-        parse_kw = {"frontier_handles": self.actors,
-                    "out_dir": self.out_dir, "round_no": r,
-                    "enrich": self.enrich, "store_html": self.store_html}
-        fetch_kw = {"cfg": self.cfg}
-        if self.real_time:
-            import time as _time
-            if self.crawl_t0 is None:
-                self.crawl_t0 = _time.time()
-            fetch_kw["real_time_t0"] = self.crawl_t0
-        # one block per task; batch_size=None keeps Ray Data from
-        # re-bundling blocks, so the round runs exactly len(tasks) tasks
-        ds = (rd.from_items([{"pieces": json.dumps(t)} for t in tasks],
-                            override_num_blocks=len(tasks))
-                .map_batches(_read_round_slice, batch_format="pyarrow",
-                             batch_size=None))
-        if self.use_actors:
-            ds = (ds.map_batches(FetchStage, batch_format="pyarrow",
-                                 batch_size=None,
-                                 fn_constructor_kwargs=fetch_kw,
-                                 concurrency=self.fetch_concurrency)
-                    .map_batches(ParseStage, batch_format="pyarrow",
-                                 batch_size=None,
-                                 fn_constructor_kwargs={"cfg": self.cfg,
-                                                        **parse_kw},
-                                 concurrency=self.parse_concurrency))
-        else:
-            ds = (ds.map_batches(_StatelessStage(FetchStage, self.cfg,
-                                                 **{k: v for k, v in
-                                                    fetch_kw.items()
-                                                    if k != "cfg"}),
-                                 batch_format="pyarrow", batch_size=None)
-                    .map_batches(_StatelessStage(ParseStage, self.cfg, **parse_kw),
-                                 batch_format="pyarrow", batch_size=None))
-        # ONE streaming pass: fetch -> parse -> payload parquet. The parse
-        # tasks side-write meta/sections/edges/fails themselves and stage
-        # links to the frontier actors; the barrier below commits the
-        # round's link union as a deterministic sorted set.
-        ds.write_parquet(f"{self.out_dir}/payload/round={r}")
-        self.last_stats = ds.stats()   # per-stage wall/cpu breakdown
-
+        if self.real_time and self.crawl_t0 is None:
+            self.crawl_t0 = time.time()
+        t1 = time.perf_counter()
+        # the parse side-writes meta/sections/edges/fails and stages links
+        # to the frontier actors; the barrier below commits the round's
+        # link union as a deterministic sorted set
+        args = self._slice_args(r)
+        rows = sum(ray.get([crawl_slice.remote(t, *args) for t in tasks]))
+        t2 = time.perf_counter()
         lineage = ray.get([a.commit.remote() for a in self.actors])
-        self.lineage["fetched"] += sum(rows for _, rows in parts)
+        popped = sum(k for _, k in parts)
+        self.lineage["fetched"] += popped
         for k in LINEAGE_KEYS:
             self.lineage[k] += sum(c[k] for c in lineage)
+        self.last_stats = {"round": r, "popped": popped, "tasks": len(tasks),
+                           "rows": rows, "pop_s": t1 - t0,
+                           "tasks_s": t2 - t1,
+                           "commit_s": time.perf_counter() - t2}
         self.round += 1
         return True
 

@@ -1,9 +1,9 @@
-"""Fetch stage — stateful actor pool over Arrow batches of frontier pops.
+"""Fetch stage over Arrow batches of frontier pops.
 
 The reference opens one aiohttp session per request (app/service/vbpl.py:60
 — wasteful, SURVEY.md ST4) and retries only in the anle service (3 attempts,
 exponential backoff 2**retry, app/service/anle.py:38-57). Here the client
-(the SimWeb, standing in for a pooled HTTP session) is built ONCE per actor
+(the SimWeb, standing in for a pooled HTTP session) is built ONCE per stage
 in __init__, every URL gets the bounded retry budget, and failures become a
 status column instead of being swallowed (the reference returns None and
 crashes later — vbpl.py:69-72).
@@ -17,7 +17,9 @@ from ..sources.simweb import SimWeb, SimWebConfig
 
 
 class FetchStage:
-    """map_batches(FetchStage, concurrency=N, fn_constructor_kwargs=...).
+    """Callable over one batch: a crawl round task builds one per slice as
+    ``FetchStage(cfg, real_time_t0=...)``; as a ``map_batches`` class it
+    holds one client per actor (a live transport's connection pool).
 
     Input batch columns: url, host, depth, discovery_order, fetch_time.
     Adds: status, content_type, body, retries.
@@ -26,7 +28,7 @@ class FetchStage:
     def __init__(self, cfg: SimWebConfig, max_retries: int = 3,
                  real_time_t0: float | None = None,
                  client_factory=None, backoff_base: float | None = None):
-        # per-actor client, built ONCE (the reference builds an aiohttp
+        # per-stage client, built ONCE (the reference builds an aiohttp
         # session per request — vbpl.py:60). client_factory swaps in a
         # live transport (sources/httpclient.HttpTransport) with the same
         # get(url, attempt) -> (status, content_type, body) contract;

@@ -5,9 +5,10 @@ as regex-dict extractor configs (the U1 extension surface, SURVEY.md §2.9;
 reference regex dicts app/service/vbpl.py:610-618, 542-548,
 app/service/anle.py:75-84).
 
-Dataflow shape: the parse stage's DATASET output is the payload table only
-(input_hint schema) so the round pipeline streams from_items -> fetch ->
-parse -> write_parquet in ONE pass with no mid-round materialization.
+Dataflow shape: the parse stage returns the payload table only (input_hint
+schema); the round task that called it writes that table beside the side
+tables, through the same ``write_part``, with no mid-round
+materialization.
 Discovered links and edges are small control data: they are pushed to the
 hash(host)-routed frontier partition actors (``stage``) and a per-round
 collector actor, then committed at the round barrier — the commit sorts
@@ -228,6 +229,20 @@ _SIDE_SCHEMAS = {"edges": EDGE_SCHEMA, "doc_map": DOC_MAP_SCHEMA,
 
 def _none_last(row: tuple):
     return tuple((x is None, x if x is not None else "") for x in row)
+
+
+def write_part(out_dir: str, table: str, round_no: int, urls: list[str],
+               data: pa.Table) -> None:
+    """Write one batch's rows of ``table`` as
+    ``<table>/round=<round_no>/part-<sha1 of the batch's URL set>.parquet``:
+    deterministic content AND filename, so task retries and round re-runs
+    overwrite instead of appending. An empty table writes nothing."""
+    if not data.num_rows:
+        return
+    digest = hashlib.sha1("\n".join(sorted(urls)).encode()).hexdigest()[:16]
+    d = os.path.join(out_dir, table, f"round={round_no}")
+    os.makedirs(d, exist_ok=True)
+    pq.write_table(data, os.path.join(d, f"part-{digest}.parquet"))
 
 
 def extract_attributes(body: str, config: dict) -> dict[str, str | None]:
@@ -590,23 +605,14 @@ class ParseStage:
     # ---- per-batch data-plane sink ----
 
     def _write_side(self, batch_urls: list[str], out: dict[str, list]) -> None:
-        """One parquet part per nonempty side table, named by the sha1 of
-        the batch's URL set: deterministic content AND filename, so task
-        retries and round re-runs overwrite instead of appending."""
-        digest = hashlib.sha1(
-            "\n".join(sorted(batch_urls)).encode()).hexdigest()[:16]
+        """One part per nonempty side table, rows sorted and deduplicated."""
         for name, rows in out.items():
             if not rows:
                 continue
-            schema = _SIDE_SCHEMAS[name]
-            rows = sorted(set(rows), key=_none_last)
-            d = os.path.join(self.out_dir, name, f"round={self.round_no}")
-            os.makedirs(d, exist_ok=True)
-            cols = list(zip(*rows))
-            pq.write_table(
-                pa.table({f.name: pa.array(list(c), f.type)
-                          for f, c in zip(schema, cols)}),
-                os.path.join(d, f"part-{digest}.parquet"))
+            cols = list(zip(*sorted(set(rows), key=_none_last)))
+            write_part(self.out_dir, name, self.round_no, batch_urls,
+                       pa.table({f.name: pa.array(list(c), f.type)
+                                 for f, c in zip(_SIDE_SCHEMAS[name], cols)}))
 
     # ---- batch entry ----
 
